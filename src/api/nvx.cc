@@ -863,7 +863,9 @@ Status NvxBuilder::ValidateTarget() const {
 }
 
 std::shared_ptr<support::ThreadPool> NvxBuilder::MakePool(bool always) const {
-  const bool sharded = shards_.has_value() && *shards_ > 1;
+  // Remote() is Shards(k) with k defaulting to the fleet size.
+  const size_t groups = shards_.value_or(remote_ ? remote_endpoints_.size() : 1);
+  const bool sharded = groups > 1;
   if (!always && !async_workers_.has_value() && !sharded) {
     return nullptr;
   }
@@ -906,19 +908,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
     engine_pool = std::make_shared<nxe::EnginePool>();
   }
 
-  if (remote_) {
-    // The group count defaults to the fleet size; Shards(k) overrides it so
-    // Remote ≡ Shards(k) equivalence can be tested group-for-group.
-    const size_t k = shards_.value_or(remote_endpoints_.size());
-    if (k == 0) {
-      return InvalidArgument("Remote() requires at least one executor endpoint");
-    }
-    std::vector<std::vector<size_t>> groups = ShardMemberGroups(shared->n_variants(), k);
-    return std::unique_ptr<Backend>(new net::RemoteBackend(
-        std::move(shared), std::move(groups), remote_endpoints_, remote_options_));
-  }
-
-  if (!shards_.has_value()) {
+  if (!shards_.has_value() && !remote_) {
     std::vector<size_t> all(shared->n_variants());
     std::iota(all.begin(), all.end(), 0);
     return std::unique_ptr<Backend>(new TraceBackend(std::move(shared), std::move(all),
@@ -929,12 +919,23 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
   // Shard 0 carries the baseline/leader slot; followers are dealt
   // round-robin. Every shard replicates the leader (local slot 0) for
   // synchronization; groups that would hold only the replica are dropped
-  // (the single home of the rule: ShardMemberGroups, shared with Remote()).
+  // (the single home of the rule: ShardMemberGroups). Remote() is Shards(k)
+  // with remote shards, k defaulting to the fleet size.
+  std::vector<std::vector<size_t>> groups =
+      ShardMemberGroups(shared->n_variants(), shards_.value_or(remote_endpoints_.size()));
+  std::shared_ptr<const net::RemoteSessionState> remote;
+  if (remote_) {
+    remote = std::make_shared<const net::RemoteSessionState>(shared, groups, remote_endpoints_,
+                                                            remote_options_);
+  }
   std::vector<std::unique_ptr<Backend>> shard_backends;
-  std::vector<std::vector<size_t>> groups = ShardMemberGroups(shared->n_variants(), *shards_);
   for (size_t j = 0; j < groups.size(); ++j) {
-    shard_backends.push_back(std::unique_ptr<Backend>(new TraceBackend(
-        shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool)));
+    if (remote != nullptr) {
+      shard_backends.push_back(std::make_unique<net::RemoteBackend>(remote, j));
+    } else {
+      shard_backends.push_back(std::unique_ptr<Backend>(new TraceBackend(
+          shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool)));
+    }
   }
   return std::unique_ptr<Backend>(new ShardedBackend(std::move(shared), std::move(shard_backends),
                                                      shard_pool, backend_owns_pool, placement_));

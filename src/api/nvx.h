@@ -410,8 +410,10 @@ class NvxBuilder {
   // Reports are bit-identical under any policy; only scheduling changes.
   NvxBuilder& Placement(PlacementPolicy policy);
   // Fan the session's shard groups out across executor daemons instead of
-  // in-process engine shards (trace targets only; composes with Shards(k) to
-  // set the group count, default k = number of endpoints). Each Run() ships
+  // in-process engine shards (trace targets only): Shards(k) with remote
+  // shards, so it composes with Async(n), BuildAsync() and Placement() the
+  // same way. Shards(k) sets the group count, default k = number of
+  // endpoints. Each Run() ships
   // the plan (by wire CacheKey, so executors cache decoded plans) plus each
   // group's member list to an executor chosen by CacheKey affinity, with
   // per-request timeout and bounded retry to a different executor. Merged

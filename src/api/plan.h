@@ -134,8 +134,8 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
                        uint64_t seed, std::vector<nxe::VariantTrace>* out);
 
 // The session's variant slots dealt into k shard groups — the single home of
-// the grouping rule, shared by ShardedBackend (in-process fan-out) and
-// RemoteBackend (multi-host fan-out) so both dispatchers produce identical
+// the grouping rule, used for both Shards(k) and Remote() (whose groups run
+// as remote shards of the same ShardedBackend), so both produce identical
 // partials and bit-identical merged reports. groups[0] owns the baseline;
 // followers are dealt round-robin; every group starts with the leader slot 0
 // (each shard replicates the leader for synchronization); groups that would

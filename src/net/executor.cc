@@ -192,17 +192,17 @@ RunReplyMsg ExecutorServer::HandleRun(const std::string& payload) {
   // one hot plan, many runs) skip decode and validation entirely. The
   // factory re-verifies that the decoded plan's own CacheKey matches the
   // claimed wire key, so a request cannot poison the cache under a false key.
+  // The factory and the pool task below reference msg's fields directly:
+  // msg outlives both, since this call blocks until the task is done.
   bool was_hit = false;
-  const std::string plan_bytes = msg->plan_bytes;
-  const std::string claimed_key = msg->cache_key;
   StatusOr<std::shared_ptr<const api::VariantPlan>> plan = plan_cache_.GetOrPlan(
-      claimed_key,
-      [&plan_bytes, &claimed_key, this]() -> StatusOr<api::VariantPlan> {
-        StatusOr<api::VariantPlan> decoded = DecodeVariantPlan(plan_bytes);
+      msg->cache_key,
+      [&msg, this]() -> StatusOr<api::VariantPlan> {
+        StatusOr<api::VariantPlan> decoded = DecodeVariantPlan(msg->plan_bytes);
         if (!decoded.ok()) {
           return decoded.status();
         }
-        if (decoded->CacheKey() != claimed_key) {
+        if (decoded->CacheKey() != msg->cache_key) {
           return InvalidArgument(
               "wire: request cache_key does not match the decoded plan's CacheKey");
         }
@@ -252,7 +252,7 @@ RunReplyMsg ExecutorServer::HandleRun(const std::string& payload) {
   // connections sharing the pool). queue_depth/in_flight are the occupancy
   // feedback the dispatcher's routing consumes.
   const api::Backend* run_backend = backend->get();
-  const api::RunRequest request = msg->request;
+  const api::RunRequest& request = msg->request;
   StatusOr<api::PartialReport> partial = Status(StatusCode::kInternal, "not executed");
   std::mutex done_mu;
   std::condition_variable done_cv;

@@ -1,6 +1,5 @@
 #include "src/net/remote.h"
 
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -16,9 +15,9 @@ uint64_t AffinityHash(std::string_view cache_key) {
   return hash;
 }
 
-RemoteBackend::RemoteBackend(std::shared_ptr<const api::VariantPlan> plan,
-                             std::vector<std::vector<size_t>> groups,
-                             std::vector<Endpoint> endpoints, RemoteOptions options)
+RemoteSessionState::RemoteSessionState(std::shared_ptr<const api::VariantPlan> plan,
+                                       std::vector<std::vector<size_t>> groups,
+                                       std::vector<Endpoint> endpoints, RemoteOptions options)
     : plan_(std::move(plan)),
       groups_(std::move(groups)),
       endpoints_(std::move(endpoints)),
@@ -29,11 +28,11 @@ RemoteBackend::RemoteBackend(std::shared_ptr<const api::VariantPlan> plan,
       health_(endpoints_.size()),
       stats_(endpoints_.size()) {}
 
-size_t RemoteBackend::PreferredEndpoint(size_t group) const {
+size_t RemoteSessionState::PreferredEndpoint(size_t group) const {
   return (affinity_ + group) % endpoints_.size();
 }
 
-std::vector<size_t> RemoteBackend::AttemptOrder(size_t group) const {
+std::vector<size_t> RemoteSessionState::AttemptOrder(size_t group) const {
   const size_t n = endpoints_.size();
   const size_t start = PreferredEndpoint(group);
   std::vector<size_t> healthy;
@@ -54,7 +53,7 @@ std::vector<size_t> RemoteBackend::AttemptOrder(size_t group) const {
   return healthy;
 }
 
-void RemoteBackend::MarkFailure(size_t e) const {
+void RemoteSessionState::MarkFailure(size_t e) const {
   std::lock_guard<std::mutex> lock(mu_);
   stats_[e].failures++;
   health_[e].unhealthy = true;
@@ -62,19 +61,19 @@ void RemoteBackend::MarkFailure(size_t e) const {
                            std::chrono::milliseconds(options_.unhealthy_cooldown_ms);
 }
 
-void RemoteBackend::MarkSuccess(size_t e, const ExecutorOccupancy& occupancy) const {
+void RemoteSessionState::MarkSuccess(size_t e, const ExecutorOccupancy& occupancy) const {
   std::lock_guard<std::mutex> lock(mu_);
   health_[e].unhealthy = false;
   stats_[e].last_occupancy = occupancy;
 }
 
-std::vector<EndpointStats> RemoteBackend::endpoint_stats() const {
+std::vector<EndpointStats> RemoteSessionState::endpoint_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
-StatusOr<api::PartialReport> RemoteBackend::TryEndpoint(size_t e, size_t group,
-                                                        const api::RunRequest& request) const {
+StatusOr<api::RunReport> RemoteSessionState::TryEndpoint(
+    size_t e, size_t group, const api::RunRequest& request) const {
   uint64_t request_id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -135,16 +134,16 @@ StatusOr<api::PartialReport> RemoteBackend::TryEndpoint(size_t e, size_t group,
   // The executor echoed a valid partial — but for the *right* work? A buggy
   // or stale executor answering with different coverage must not reach
   // Merge looking like success.
-  api::PartialReport partial = std::move(*decoded->partial);
+  api::PartialReport& partial = *decoded->partial;
   if (partial.variant_index != groups_[group] || partial.owns_baseline != (group == 0)) {
     return InvalidArgument("wire: executor " + endpoints_[e].name +
                            " answered with different shard coverage than requested");
   }
-  return partial;
+  return std::move(partial.report);
 }
 
-StatusOr<api::PartialReport> RemoteBackend::ExecuteGroup(size_t group,
-                                                         const api::RunRequest& request) const {
+StatusOr<api::RunReport> RemoteSessionState::ExecuteGroup(
+    size_t group, const api::RunRequest& request) const {
   Status last_error = Unavailable("no endpoints");
   int attempt = 0;
   // Rebuilt per attempt round: health marks from this group's own failures
@@ -160,7 +159,7 @@ StatusOr<api::PartialReport> RemoteBackend::ExecuteGroup(size_t group,
             std::chrono::milliseconds(options_.backoff_ms << (attempt - 1)));
       }
       ++attempt;
-      StatusOr<api::PartialReport> result = TryEndpoint(e, group, request);
+      StatusOr<api::RunReport> result = TryEndpoint(e, group, request);
       if (result.ok()) {
         return result;
       }
@@ -177,40 +176,15 @@ StatusOr<api::PartialReport> RemoteBackend::ExecuteGroup(size_t group,
                     std::to_string(attempt) + " attempt(s); last error: " + last_error.message());
 }
 
+RemoteBackend::RemoteBackend(std::shared_ptr<const RemoteSessionState> state, size_t group)
+    : state_(std::move(state)), group_(group) {
+  for (size_t global : state_->groups()[group_]) {
+    labels_.push_back(state_->plan().labels[global]);
+  }
+}
+
 StatusOr<api::RunReport> RemoteBackend::Run(const api::RunRequest& request) const {
-  const size_t n_groups = groups_.size();
-  std::vector<StatusOr<api::PartialReport>> results(
-      n_groups, StatusOr<api::PartialReport>(Status(StatusCode::kInternal, "not executed")));
-
-  // One thread per group: connections progress independently, exactly as
-  // ShardedBackend's groups progress independently on pool workers. Group
-  // count is the shard count (small); threads are cheaper than plumbing a
-  // second pool through the builder.
-  std::vector<std::thread> threads;
-  threads.reserve(n_groups > 0 ? n_groups - 1 : 0);
-  for (size_t g = 1; g < n_groups; ++g) {
-    threads.emplace_back([this, g, &request, &results] {
-      results[g] = ExecuteGroup(g, request);
-    });
-  }
-  if (n_groups > 0) {
-    results[0] = ExecuteGroup(0, request);
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-
-  // Collect in group order so merging is deterministic regardless of
-  // completion order — the same rule as ShardedBackend.
-  std::vector<api::PartialReport> partials;
-  partials.reserve(n_groups);
-  for (size_t g = 0; g < n_groups; ++g) {
-    if (!results[g].ok()) {
-      return results[g].status();
-    }
-    partials.push_back(std::move(*results[g]));
-  }
-  return api::RunReport::Merge(plan_->n_variants(), partials);
+  return state_->ExecuteGroup(group_, request);
 }
 
 }  // namespace net

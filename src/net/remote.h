@@ -1,12 +1,11 @@
-// RemoteBackend: the dispatcher side of the multi-host execution plane.
+// Remote(): Shards(k) whose shards run on executor daemons.
 //
-// The multi-host analogue of api::ShardedBackend: the same shard member
-// groups (api::ShardMemberGroups — one rule, both dispatchers), fanned over
-// executor connections instead of pool workers. Each Run() ships the encoded
-// plan + each group's member list to an executor, collects the decoded,
-// validated PartialReports in group order, and merges them with
-// RunReport::Merge — so a Remote(loopback) session is bit-identical to
-// Shards(k) and to the unsharded session.
+// NvxBuilder::Remote() builds the same api::ShardedBackend as Shards(k) —
+// same groups (api::ShardMemberGroups), pool fan-out and report merge —
+// whose shards are RemoteBackends: each Run() ships the encoded plan plus
+// its group's member list to an executor and returns the decoded,
+// coverage-checked report. So a Remote(loopback) session is bit-identical
+// to Shards(k) and composes with Async(n), BuildAsync() and Placement().
 //
 // Routing is CacheKey-affine: group g of a plan goes to endpoint
 // (fnv1a(plan.CacheKey()) + g) % E, so a fleet serving one hot plan sees
@@ -47,32 +46,28 @@ struct EndpointStats {
   ExecutorOccupancy last_occupancy;  // from the most recent reply
 };
 
-class RemoteBackend final : public api::Backend {
+// Dispatcher state shared by every shard group of one Remote() session: the
+// encoded plan, cache key, affinity hash, endpoint health and stats, request
+// ids. Thread-safe: the session's groups run concurrently on pool workers.
+class RemoteSessionState {
  public:
   // `groups` comes from api::ShardMemberGroups; groups[0] owns the baseline.
-  RemoteBackend(std::shared_ptr<const api::VariantPlan> plan,
-                std::vector<std::vector<size_t>> groups, std::vector<Endpoint> endpoints,
-                RemoteOptions options);
+  RemoteSessionState(std::shared_ptr<const api::VariantPlan> plan,
+                     std::vector<std::vector<size_t>> groups, std::vector<Endpoint> endpoints,
+                     RemoteOptions options);
 
-  // "trace": a remote session's merged report is indistinguishable from the
-  // in-process sharded one — that is the equivalence the tests prove.
-  const char* name() const override { return "trace"; }
-  size_t n_variants() const override { return plan_->n_variants(); }
-  const std::vector<std::string>& variant_labels() const override { return plan_->labels; }
-  StatusOr<api::RunReport> Run(const api::RunRequest& request) const override;
-
-  const distribution::CheckDistributionPlan* check_plan() const override {
-    return plan_->check_plan.has_value() ? &*plan_->check_plan : nullptr;
-  }
-  const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return plan_->sanitizer_groups.empty() ? nullptr : &plan_->sanitizer_groups;
-  }
+  const api::VariantPlan& plan() const { return *plan_; }
+  const std::vector<std::vector<size_t>>& groups() const { return groups_; }
 
   // The endpoint group g is routed to first (before health rotation), for
   // affinity assertions in tests.
   size_t PreferredEndpoint(size_t group) const;
 
   std::vector<EndpointStats> endpoint_stats() const;
+
+  // One group's run: endpoints in affinity order, retry with backoff on
+  // transport/decode failures, and a coverage check on the reply.
+  StatusOr<api::RunReport> ExecuteGroup(size_t group, const api::RunRequest& request) const;
 
  private:
   // Endpoint order for one group's attempts: affinity rotation with healthy
@@ -81,9 +76,8 @@ class RemoteBackend final : public api::Backend {
   std::vector<size_t> AttemptOrder(size_t group) const;
   // One dial + request + reply against endpoint `e`. Failures before a
   // decoded reply are retryable; a decoded reply is definitive.
-  StatusOr<api::PartialReport> TryEndpoint(size_t e, size_t group,
-                                           const api::RunRequest& request) const;
-  StatusOr<api::PartialReport> ExecuteGroup(size_t group, const api::RunRequest& request) const;
+  StatusOr<api::RunReport> TryEndpoint(size_t e, size_t group,
+                                       const api::RunRequest& request) const;
   void MarkFailure(size_t e) const;
   void MarkSuccess(size_t e, const ExecutorOccupancy& occupancy) const;
 
@@ -106,6 +100,27 @@ class RemoteBackend final : public api::Backend {
   mutable std::vector<Health> health_;
   mutable std::vector<EndpointStats> stats_;
   mutable uint64_t next_request_id_ = 1;
+};
+
+// One shard group of a Remote() session: the shard api::ShardedBackend
+// dispatches in place of an in-process trace shard.
+class RemoteBackend final : public api::Backend {
+ public:
+  RemoteBackend(std::shared_ptr<const RemoteSessionState> state, size_t group);
+
+  // "trace": a remote shard's report is indistinguishable from the
+  // in-process one — that is the equivalence the tests prove.
+  const char* name() const override { return "trace"; }
+  size_t n_variants() const override { return labels_.size(); }
+  const std::vector<std::string>& variant_labels() const override { return labels_; }
+  std::vector<size_t> shard_coverage() const override { return state_->groups()[group_]; }
+  bool owns_baseline() const override { return group_ == 0; }
+  StatusOr<api::RunReport> Run(const api::RunRequest& request) const override;
+
+ private:
+  std::shared_ptr<const RemoteSessionState> state_;
+  size_t group_;
+  std::vector<std::string> labels_;
 };
 
 }  // namespace net

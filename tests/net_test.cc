@@ -1,6 +1,7 @@
 // Tests for the multi-host execution plane (src/net/): wire-format framing
 // and codecs, PartialReport decode validation, the executor daemon's serve
-// loop and plan cache, and the RemoteBackend dispatcher — including the
+// loop and plan cache, and Remote() sessions (RemoteBackend shards under
+// api::ShardedBackend) — including the
 // acceptance property that Remote(loopback fleet) produces merged reports
 // bit-identical to Shards(k) and to the unsharded session, and that every
 // injected fault (dead executor, kill mid-run, black-hole timeout, truncated
@@ -8,21 +9,27 @@
 // runs under ThreadSanitizer and AddressSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/api/async.h"
 #include "src/api/nvx.h"
+#include "src/api/shard.h"
 #include "src/net/endpoint.h"
 #include "src/net/executor.h"
 #include "src/net/remote.h"
 #include "src/net/wire.h"
 #include "src/support/socket.h"
+#include "src/support/thread_pool.h"
 
 namespace bunshin {
 namespace {
@@ -328,6 +335,33 @@ std::vector<Endpoint> LoopbackFleet(const std::vector<std::shared_ptr<ExecutorSe
   return endpoints;
 }
 
+// A Remote() session backend assembled outside the builder, the way
+// NvxBuilder::BuildBackend assembles it: one RemoteBackend per group, all
+// sharing one RemoteSessionState, under an api::ShardedBackend on a
+// two-worker pool. The shared state stays in reach for stats and affinity.
+struct RemoteShards {
+  RemoteShards(std::shared_ptr<const api::VariantPlan> plan,
+               std::vector<std::vector<size_t>> groups, std::vector<Endpoint> endpoints,
+               RemoteOptions options)
+      : state(std::make_shared<const net::RemoteSessionState>(plan, std::move(groups),
+                                                              std::move(endpoints), options)) {
+    std::vector<std::unique_ptr<api::Backend>> shards;
+    for (size_t g = 0; g < state->groups().size(); ++g) {
+      shards.push_back(std::make_unique<net::RemoteBackend>(state, g));
+    }
+    sharded = std::make_unique<api::ShardedBackend>(
+        std::move(plan), std::move(shards), std::make_shared<support::ThreadPool>(2),
+        /*owns_pool=*/true);
+  }
+
+  StatusOr<RunReport> Run(const api::RunRequest& request) const { return sharded->Run(request); }
+  size_t PreferredEndpoint(size_t group) const { return state->PreferredEndpoint(group); }
+  std::vector<net::EndpointStats> endpoint_stats() const { return state->endpoint_stats(); }
+
+  std::shared_ptr<const net::RemoteSessionState> state;
+  std::unique_ptr<api::ShardedBackend> sharded;
+};
+
 // All-field equality: the bit-identity acceptance criterion. Doubles compare
 // with == (not near): the wire encodes them bit-cast, the engine is
 // deterministic, so any difference is a real divergence of the planes.
@@ -473,6 +507,122 @@ TEST(RemoteEquivalenceTest, DivergenceAttribution) {
       "identical/divergence");
 }
 
+// Remote() is Shards(k) with remote shards, so it composes with BuildAsync()
+// the same way: sessions of both kinds share one pool and one completion
+// queue, and every remote report is bit-identical to its Shards(k) twin.
+// k = 2 also runs without Shards(), where the group count is the fleet size.
+TEST(RemoteEquivalenceTest, AsyncSharedPoolAndQueueMatchShards) {
+  auto pool = std::make_shared<support::ThreadPool>(4);
+  api::CompletionQueue done;
+  std::vector<std::shared_ptr<ExecutorServer>> fleet = {std::make_shared<ExecutorServer>(),
+                                                        std::make_shared<ExecutorServer>()};
+  auto configure = [](NvxBuilder& b) -> NvxBuilder& {
+    return b.Benchmark(workload::Spec2006()[0])
+        .Variants(6)
+        .DistributeChecks(san::SanitizerId::kASan)
+        .InjectDetection(3, "__asan_report_store")
+        .Seed(17);
+  };
+
+  // Token = 100 * config + 10 * seed index + (0 local, 1 remote).
+  std::vector<api::AsyncNvxSession> sessions;
+  size_t submitted = 0;
+  const std::vector<std::pair<size_t, bool>> configs = {{1, true}, {2, true}, {4, true},
+                                                        {2, false}};
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const auto [k, explicit_shards] = configs[c];
+    NvxBuilder local_builder;
+    auto local = configure(local_builder).Shards(k).BuildAsync(pool);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    NvxBuilder remote_builder;
+    configure(remote_builder).Remote(LoopbackFleet(fleet));
+    if (explicit_shards) {
+      remote_builder.Shards(k);
+    }
+    auto remote = remote_builder.BuildAsync(pool);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    for (uint64_t i = 0; i < 3; ++i) {
+      api::RunRequest request;
+      request.workload_seed = 200 + i;
+      local->Submit(request, &done, 100 * c + 10 * i);
+      remote->Submit(request, &done, 100 * c + 10 * i + 1);
+      submitted += 2;
+    }
+    sessions.push_back(std::move(*local));
+    sessions.push_back(std::move(*remote));
+  }
+
+  std::map<uint64_t, RunReport> reports;
+  for (size_t i = 0; i < submitted; ++i) {
+    api::CompletionEvent event = done.Wait();
+    ASSERT_TRUE(event.report.ok()) << "token " << event.token << ": "
+                                   << event.report.status().ToString();
+    reports.emplace(event.token, std::move(*event.report));
+  }
+  ASSERT_EQ(reports.size(), submitted);
+  for (const auto& [token, report] : reports) {
+    if (token % 10 == 1) {
+      ExpectReportsIdentical(report, reports.at(token - 1),
+                             ("async remote vs sharded, token " + std::to_string(token)).c_str());
+      EXPECT_EQ(report.outcome, NvxOutcome::kDetected);
+    }
+  }
+}
+
+// Two parties meet at dial: each dial blocks until both shard groups have
+// dialed, so a session whose groups run one after another times out here.
+struct DialRendezvous {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool timed_out = false;
+};
+
+Endpoint RendezvousEndpoint(std::shared_ptr<ExecutorServer> server, std::string name,
+                            std::shared_ptr<DialRendezvous> rendezvous) {
+  Endpoint endpoint = net::LoopbackEndpoint(std::move(server), std::move(name));
+  auto inner = endpoint.dial;
+  endpoint.dial = [inner, rendezvous]() -> StatusOr<std::unique_ptr<support::Socket>> {
+    {
+      std::unique_lock<std::mutex> lock(rendezvous->mu);
+      ++rendezvous->arrived;
+      rendezvous->cv.notify_all();
+      if (!rendezvous->cv.wait_for(lock, std::chrono::seconds(10),
+                                   [&] { return rendezvous->arrived >= 2; })) {
+        rendezvous->timed_out = true;
+        return Unavailable("the other shard group never dialed");
+      }
+    }
+    return inner();
+  };
+  return endpoint;
+}
+
+TEST(RemoteConcurrencyTest, GroupsDispatchConcurrently) {
+  std::vector<std::shared_ptr<ExecutorServer>> fleet = {std::make_shared<ExecutorServer>(),
+                                                        std::make_shared<ExecutorServer>()};
+  RemoteOptions options;
+  options.max_attempts = 1;  // a timed-out rendezvous fails the run
+  for (bool explicit_shards : {true, false}) {
+    SCOPED_TRACE(explicit_shards ? "Shards(2).Remote(2 endpoints)" : "Remote(2 endpoints)");
+    auto rendezvous = std::make_shared<DialRendezvous>();
+    NvxBuilder builder;
+    builder.Benchmark(workload::Spec2006()[0]).Variants(4).Seed(59);
+    if (explicit_shards) {
+      builder.Shards(2);
+    }
+    builder.Remote({RendezvousEndpoint(fleet[0], "meet-0", rendezvous),
+                    RendezvousEndpoint(fleet[1], "meet-1", rendezvous)},
+                   options);
+    auto session = builder.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto report = session->Run();
+    EXPECT_FALSE(rendezvous->timed_out) << "shard groups were dispatched one after another";
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(rendezvous->arrived, 2);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Executor behavior: plan cache, occupancy feedback, affinity.
 // ---------------------------------------------------------------------------
@@ -510,9 +660,9 @@ TEST(ExecutorTest, OccupancyFeedsBackToDispatcherStats) {
   // directly to introspect dispatcher stats.
   auto plan = builder.PlanVariants();
   ASSERT_TRUE(plan.ok());
-  net::RemoteBackend backend(std::make_shared<const api::VariantPlan>(*plan),
-                             api::ShardMemberGroups(plan->n_variants(), 1),
-                             {net::LoopbackEndpoint(server, "solo")}, RemoteOptions{});
+  RemoteShards backend(std::make_shared<const api::VariantPlan>(*plan),
+                       api::ShardMemberGroups(plan->n_variants(), 1),
+                       {net::LoopbackEndpoint(server, "solo")}, RemoteOptions{});
   ASSERT_TRUE(backend.Run({}).ok());
   const auto stats = backend.endpoint_stats();
   ASSERT_EQ(stats.size(), 1u);
@@ -526,8 +676,8 @@ TEST(ExecutorTest, AffinityIsConsistentPerCacheKeyAndGroup) {
   std::vector<std::shared_ptr<ExecutorServer>> fleet = {
       std::make_shared<ExecutorServer>(), std::make_shared<ExecutorServer>(),
       std::make_shared<ExecutorServer>()};
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 2),
-                             LoopbackFleet(fleet), RemoteOptions{});
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 2),
+                       LoopbackFleet(fleet), RemoteOptions{});
   const uint64_t hash = net::AffinityHash(plan->CacheKey());
   // Same plan key -> same executor, and consecutive groups spread across
   // consecutive endpoints in the rotation.
@@ -606,8 +756,8 @@ RemoteOptions FastFail() {
 
 TEST(FaultTest, AllExecutorsDeadIsDefiniteUnavailable) {
   auto plan = std::make_shared<const api::VariantPlan>(PlanFixture());
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 2),
-                             {DeadEndpoint("dead-0"), DeadEndpoint("dead-1")}, FastFail());
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 2),
+                       {DeadEndpoint("dead-0"), DeadEndpoint("dead-1")}, FastFail());
   auto report = backend.Run({});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kUnavailable);
@@ -616,9 +766,9 @@ TEST(FaultTest, AllExecutorsDeadIsDefiniteUnavailable) {
 TEST(FaultTest, DeadExecutorFailsOverToHealthyOne) {
   auto server = std::make_shared<ExecutorServer>();
   auto plan = std::make_shared<const api::VariantPlan>(PlanFixture());
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 2),
-                             {DeadEndpoint("dead"), net::LoopbackEndpoint(server, "live")},
-                             FastFail());
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 2),
+                       {DeadEndpoint("dead"), net::LoopbackEndpoint(server, "live")},
+                       FastFail());
   auto report = backend.Run({});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->outcome, NvxOutcome::kDetected);  // the fixture injects one
@@ -628,8 +778,8 @@ TEST(FaultTest, HungExecutorTimesOutDefinitely) {
   auto plan = std::make_shared<const api::VariantPlan>(PlanFixture());
   RemoteOptions options = FastFail();
   options.max_attempts = 1;
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
-                             {BlackHoleEndpoint("hung")}, options);
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                       {BlackHoleEndpoint("hung")}, options);
   auto report = backend.Run({});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
@@ -642,8 +792,8 @@ TEST(FaultTest, TruncatedReplyFrameIsDefiniteError) {
   truncated.resize(10);
   RemoteOptions options = FastFail();
   options.max_attempts = 1;
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
-                             {ScriptedEndpoint("truncating", truncated)}, options);
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                       {ScriptedEndpoint("truncating", truncated)}, options);
   auto report = backend.Run({});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kUnavailable);
@@ -655,8 +805,8 @@ TEST(FaultTest, VersionMismatchIsDefiniteError) {
   bytes[4] = 9;  // a future wire version
   RemoteOptions options = FastFail();
   options.max_attempts = 1;
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
-                             {ScriptedEndpoint("future-version", bytes)}, options);
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                       {ScriptedEndpoint("future-version", bytes)}, options);
   auto report = backend.Run({});
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
@@ -690,8 +840,8 @@ TEST(FaultTest, ExecutorKilledMidRunRetriesElsewhere) {
 TEST(FaultTest, StoppedExecutorRecoversAfterRestart) {
   auto server = std::make_shared<ExecutorServer>();
   auto plan = std::make_shared<const api::VariantPlan>(PlanFixture());
-  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
-                             {net::LoopbackEndpoint(server, "cycled")}, FastFail());
+  RemoteShards backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                       {net::LoopbackEndpoint(server, "cycled")}, FastFail());
   ASSERT_TRUE(backend.Run({}).ok());
 
   server->Stop();
