@@ -95,6 +95,11 @@ struct VariantTrace {
   std::vector<sc::SyscallRecord> post_exit;
   std::vector<ThreadTrace> threads;
 
+  // An action's operands, whatever the record layout stores inline.
+  const sc::SyscallRecord& SyscallOf(const ThreadAction& a) const { return a.syscall; }
+  const std::string& DetectorOf(const ThreadAction& a) const { return a.detector; }
+  static uint32_t SyncIdOf(const ThreadAction& a) { return a.sync_id; }
+
   size_t TotalActions() const {
     size_t n = 0;
     for (const auto& t : threads) {
