@@ -50,7 +50,8 @@ RandomCase GenerateCase(uint64_t seed) {
   }
 
   // Leader template: per-episode action soup, barrier-aligned across threads.
-  std::vector<std::vector<nxe::ThreadAction>> tmpl(n_threads);
+  nxe::VariantTrace tmpl;
+  tmpl.threads.resize(n_threads);
   uint32_t lock_id = 0;
   for (size_t e = 0; e <= barriers; ++e) {
     for (size_t t = 0; t < n_threads; ++t) {
@@ -61,29 +62,29 @@ RandomCase GenerateCase(uint64_t seed) {
           case 1:
           case 2:
           case 3:
-            tmpl[t].push_back(nxe::ThreadAction::Compute(cost_dist(rng)));
+            tmpl.threads[t].actions.push_back(nxe::ThreadAction::Compute(cost_dist(rng)));
             break;
           case 4:
           case 5:
           case 6:
-            tmpl[t].push_back(nxe::ThreadAction::Syscall(RandomRecord(rng, false)));
+            tmpl.threads[t].actions.push_back(tmpl.AddSyscall(RandomRecord(rng, false)));
             break;
           case 7:
-            tmpl[t].push_back(nxe::ThreadAction::Syscall(RandomRecord(rng, true)));
+            tmpl.threads[t].actions.push_back(tmpl.AddSyscall(RandomRecord(rng, true)));
             break;
           case 8:
-            tmpl[t].push_back(nxe::ThreadAction::Syscall(IgnoredRecord(rng)));
+            tmpl.threads[t].actions.push_back(tmpl.AddSyscall(IgnoredRecord(rng)));
             break;
           case 9:
-            tmpl[t].push_back(nxe::ThreadAction::Lock(lock_id));
-            tmpl[t].push_back(nxe::ThreadAction::Compute(cost_dist(rng)));
-            tmpl[t].push_back(nxe::ThreadAction::Unlock(lock_id));
+            tmpl.threads[t].actions.push_back(nxe::ThreadAction::Lock(lock_id));
+            tmpl.threads[t].actions.push_back(nxe::ThreadAction::Compute(cost_dist(rng)));
+            tmpl.threads[t].actions.push_back(nxe::ThreadAction::Unlock(lock_id));
             lock_id = (lock_id + 1) % 4;
             break;
         }
       }
       if (e < barriers) {
-        tmpl[t].push_back(nxe::ThreadAction::Barrier(static_cast<uint32_t>(e)));
+        tmpl.threads[t].actions.push_back(nxe::ThreadAction::Barrier(static_cast<uint32_t>(e)));
       }
     }
   }
@@ -94,8 +95,9 @@ RandomCase GenerateCase(uint64_t seed) {
     trace.name = "rand-v" + std::to_string(v);
     trace.compute_scale = (v == 0) ? 1.0 : scale_dist(rng);
     trace.threads.resize(n_threads);
+    trace.syscalls = tmpl.syscalls;
     for (size_t t = 0; t < n_threads; ++t) {
-      trace.threads[t].actions = tmpl[t];
+      trace.threads[t].actions = tmpl.threads[t].actions;
       for (auto& a : trace.threads[t].actions) {
         if (a.kind == nxe::ActionKind::kCompute) {
           a.cost *= jitter_dist(rng);  // per-clone scheduling jitter
@@ -105,8 +107,8 @@ RandomCase GenerateCase(uint64_t seed) {
       const size_t extra_mm = rng() % 3;
       for (size_t i = 0; i < extra_mm; ++i) {
         const size_t pos = rng() % (trace.threads[t].actions.size() + 1);
-        trace.threads[t].actions.insert(trace.threads[t].actions.begin() + pos,
-                                        nxe::ThreadAction::Syscall(IgnoredRecord(rng)));
+        const nxe::ThreadAction mm = trace.AddSyscall(IgnoredRecord(rng));
+        trace.threads[t].actions.insert(trace.threads[t].actions.begin() + pos, mm);
       }
       trace.threads[t].actions.push_back(nxe::ThreadAction::Exit());
     }
@@ -129,9 +131,10 @@ RandomCase GenerateCase(uint64_t seed) {
     case 1: {  // sanitizer detection fires mid-run (maybe in several variants)
       const size_t n_detects = 1 + rng() % 2;
       for (size_t i = 0; i < n_detects; ++i) {
-        auto& actions = random_thread_of(rng() % n_variants);
+        const size_t v = rng() % n_variants;
+        auto& actions = random_thread_of(v);
         actions.insert(actions.begin() + rng() % actions.size(),
-                       nxe::ThreadAction::Detect("__asan_report_store"));
+                       c.variants[v].AddDetect("__asan_report_store"));
       }
       c.label = "detection";
       break;
@@ -142,13 +145,14 @@ RandomCase GenerateCase(uint64_t seed) {
         c.label = "clean";
         break;
       }
-      auto& actions = random_thread_of(1 + rng() % (n_variants - 1));
-      for (auto& a : actions) {
-        if (a.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(a.syscall.no)) {
+      nxe::VariantTrace& trace = c.variants[1 + rng() % (n_variants - 1)];
+      for (const auto& a : trace.threads[rng() % n_threads].actions) {
+        if (a.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(trace.SyscallOf(a).no)) {
+          sc::SyscallRecord& rec = trace.syscalls[a.index];
           if (rng() % 2 == 0) {
-            a.syscall.args[0] += 1;
+            rec.args[0] += 1;
           } else {
-            a.syscall.payload_digest ^= 0x5bd1e995ULL;
+            rec.payload_digest ^= 0x5bd1e995ULL;
           }
           c.label = "arg-divergence";
           break;

@@ -35,13 +35,13 @@ const char* SkeletonKindName(nxe::ActionKind kind) {
   }
 }
 
-std::vector<SkeletonEntry> BuildSkeleton(const nxe::ThreadTrace& thread) {
+std::vector<SkeletonEntry> BuildSkeleton(const nxe::VariantTrace& variant, size_t t) {
   std::vector<SkeletonEntry> out;
-  for (const nxe::ThreadAction& action : thread.actions) {
+  for (const nxe::ThreadAction& action : variant.threads[t].actions) {
     switch (action.kind) {
       case nxe::ActionKind::kSyscall:
-        if (sc::IsSyncRelevant(action.syscall.no)) {
-          out.push_back({action.kind, &action.syscall});
+        if (sc::IsSyncRelevant(variant.SyscallOf(action).no)) {
+          out.push_back({action.kind, &variant.SyscallOf(action)});
         }
         break;
       case nxe::ActionKind::kBarrier:
@@ -85,16 +85,17 @@ class LockOrderGraph {
   void AddThread(const nxe::ThreadTrace& thread) {
     held_.clear();
     for (const nxe::ThreadAction& action : thread.actions) {
+      const uint32_t lock = nxe::VariantTrace::SyncIdOf(action);
       if (action.kind == nxe::ActionKind::kLockAcquire) {
         for (const uint32_t held : held_) {
-          if (held != action.sync_id) {
-            edges_[held].insert(action.sync_id);
+          if (held != lock) {
+            edges_[held].insert(lock);
           }
         }
-        held_.push_back(action.sync_id);
+        held_.push_back(lock);
       } else if (action.kind == nxe::ActionKind::kLockRelease) {
         for (size_t i = held_.size(); i > 0; --i) {
-          if (held_[i - 1] == action.sync_id) {
+          if (held_[i - 1] == lock) {
             held_.erase(held_.begin() + static_cast<long>(i - 1));
             break;
           }
@@ -168,7 +169,8 @@ size_t CountSyncSyscalls(const nxe::VariantTrace& variant) {
   size_t n = 0;
   for (const nxe::ThreadTrace& thread : variant.threads) {
     for (const nxe::ThreadAction& action : thread.actions) {
-      if (action.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(action.syscall.no)) {
+      if (action.kind == nxe::ActionKind::kSyscall &&
+          sc::IsSyncRelevant(variant.SyscallOf(action).no)) {
         ++n;
       }
     }
@@ -303,13 +305,13 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   if (shape_ok) {
     std::vector<std::vector<SkeletonEntry>> leader_skeletons;
     leader_skeletons.reserve(threads0);
-    for (const nxe::ThreadTrace& thread : variants[0].threads) {
-      leader_skeletons.push_back(BuildSkeleton(thread));
+    for (size_t t = 0; t < threads0; ++t) {
+      leader_skeletons.push_back(BuildSkeleton(variants[0], t));
     }
     for (size_t v = 1; v < variants.size(); ++v) {
       bool divergence_noted = false;
       for (size_t t = 0; t < threads0; ++t) {
-        CompareSkeletons(v, t, leader_skeletons[t], BuildSkeleton(variants[v].threads[t]),
+        CompareSkeletons(v, t, leader_skeletons[t], BuildSkeleton(variants[v], t),
                          &divergence_noted, report);
       }
     }
@@ -360,7 +362,7 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
       for (const nxe::ThreadAction& action : variants[v].threads[t].actions) {
         if (action.kind == nxe::ActionKind::kDetect) {
           report->AddNote("analysis/expected-detection", Loc(v, t),
-                          "sanitizer check '" + action.detector +
+                          "sanitizer check '" + variants[v].DetectorOf(action) +
                               "' fires here; the engine aborts all variants with a detection "
                               "report");
           noted = true;

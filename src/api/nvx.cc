@@ -141,15 +141,19 @@ class IrBackend final : public Backend {
 // ---------------------------------------------------------------------------
 
 // Per-session scratch the warm path reuses across runs of one backend:
-// built traces and derived baseline times are pure functions of
-// (plan, members, seed), so a run with the scratch's seed skips trace
-// construction and the baseline simulations entirely. Run() is const and
-// concurrent, so scratches live on a checkout freelist (one per in-flight
-// run), never as bare mutable members.
+// the seed's trace template, the traces derived from it, and derived
+// baseline times are pure functions of (plan, members, seed), so a run with
+// the scratch's seed skips trace construction and the baseline simulations
+// entirely; a new seed builds its template once and derives the members and
+// the baseline from it into the scratch's warm trace capacity. Run() is
+// const and concurrent, so scratches live on a checkout freelist (one per
+// in-flight run), never as bare mutable members.
 struct SessionScratch {
   bool valid = false;
   uint64_t seed = 0;
+  workload::TraceTemplate tmpl;  // the members and the baseline derive from it
   std::vector<nxe::VariantTrace> traces;
+  nxe::VariantTrace baseline_trace;       // owns_baseline backends only
   std::optional<double> baseline_time;    // owns_baseline backends only
   std::vector<double> standalone;         // measure_standalone plans only
   bool standalone_valid = false;
@@ -206,7 +210,8 @@ class TraceBackend final : public Backend {
       scratch->valid = false;
       scratch->baseline_time.reset();
       scratch->standalone_valid = false;
-      Status built = BuildPlanTraces(plan, members_, seed, &scratch->traces);
+      scratch->tmpl = BuildPlanTemplate(plan, seed);
+      Status built = BuildPlanTraces(plan, scratch->tmpl, members_, &scratch->traces);
       if (!built.ok()) {
         return built;
       }
@@ -236,7 +241,8 @@ class TraceBackend final : public Backend {
     report.backend = name();
     if (owns_baseline_) {
       if (!scratch->baseline_time.has_value()) {
-        auto baseline = engine.RunBaseline(BuildOne(workload::VariantSpec{}, seed), workspace);
+        workload::DeriveTrace(scratch->tmpl, workload::VariantSpec{}, &scratch->baseline_trace);
+        auto baseline = engine.RunBaseline(scratch->baseline_trace, workspace);
         if (!baseline.ok()) {
           return baseline.status();
         }
@@ -312,13 +318,6 @@ class TraceBackend final : public Backend {
   }
 
  private:
-  nxe::VariantTrace BuildOne(const workload::VariantSpec& spec, uint64_t seed) const {
-    if (plan_->server.has_value()) {
-      return workload::BuildServerTrace(*plan_->server, spec, seed);
-    }
-    return workload::BuildTrace(*plan_->benchmark, spec, seed);
-  }
-
   std::unique_ptr<SessionScratch> TakeScratch() const {
     {
       std::lock_guard<std::mutex> lock(scratch_mu_);

@@ -10,14 +10,6 @@ namespace bunshin {
 namespace api {
 namespace {
 
-nxe::VariantTrace BuildOneTrace(const VariantPlan& plan, const workload::VariantSpec& spec,
-                                uint64_t seed) {
-  if (plan.server.has_value()) {
-    return workload::BuildServerTrace(*plan.server, spec, seed);
-  }
-  return workload::BuildTrace(*plan.benchmark, spec, seed);
-}
-
 // Local slot of global variant `global`, if this member subset runs it.
 std::optional<size_t> LocalSlot(const std::vector<size_t>& members, size_t global) {
   for (size_t local = 0; local < members.size(); ++local) {
@@ -144,6 +136,13 @@ std::string VariantPlan::CacheKey() const {
   return key;
 }
 
+workload::TraceTemplate BuildPlanTemplate(const VariantPlan& plan, uint64_t seed) {
+  if (plan.server.has_value()) {
+    return workload::BuildServerTemplate(*plan.server, seed);
+  }
+  return workload::BuildTemplate(*plan.benchmark, seed);
+}
+
 StatusOr<std::vector<nxe::VariantTrace>> BuildPlanTraces(const VariantPlan& plan,
                                                          const std::vector<size_t>& members,
                                                          uint64_t seed) {
@@ -157,11 +156,15 @@ StatusOr<std::vector<nxe::VariantTrace>> BuildPlanTraces(const VariantPlan& plan
 
 Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& members,
                        uint64_t seed, std::vector<nxe::VariantTrace>* out) {
+  return BuildPlanTraces(plan, BuildPlanTemplate(plan, seed), members, out);
+}
+
+Status BuildPlanTraces(const VariantPlan& plan, const workload::TraceTemplate& tmpl,
+                       const std::vector<size_t>& members, std::vector<nxe::VariantTrace>* out) {
   std::vector<nxe::VariantTrace>& traces = *out;
-  traces.clear();
-  traces.reserve(members.size());
-  for (size_t global : members) {
-    traces.push_back(BuildOneTrace(plan, plan.specs[global], seed));
+  traces.resize(members.size());
+  for (size_t local = 0; local < members.size(); ++local) {
+    workload::DeriveTrace(tmpl, plan.specs[members[local]], &traces[local]);
   }
   for (const auto& injection : plan.detect_injections) {
     const std::optional<size_t> local = LocalSlot(members, injection.variant);
@@ -170,9 +173,10 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
     }
     // Splice the firing check mid-run into the variant's first thread (the
     // attack reaches the vulnerable function partway through execution).
-    auto& actions = traces[*local].threads.front().actions;
+    nxe::VariantTrace& trace = traces[*local];
+    auto& actions = trace.threads.front().actions;
     actions.insert(actions.begin() + static_cast<ptrdiff_t>(actions.size() / 2),
-                   nxe::ThreadAction::Detect(injection.detector));
+                   trace.AddDetect(injection.detector));
   }
   for (const auto& injection : plan.diverge_injections) {
     const std::optional<size_t> local = LocalSlot(members, injection.variant);
@@ -181,12 +185,13 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
     }
     // The compromised variant tries to push a different payload through a
     // mid-run observable syscall; the monitor must flag the mismatch.
-    auto& actions = traces[*local].threads.front().actions;
-    std::vector<size_t> sites;
-    for (size_t i = 0; i < actions.size(); ++i) {
-      if (actions[i].kind == nxe::ActionKind::kSyscall &&
-          sc::IsSyncRelevant(actions[i].syscall.no)) {
-        sites.push_back(i);
+    nxe::VariantTrace& trace = traces[*local];
+    const auto& actions = trace.threads.front().actions;
+    std::vector<uint32_t> sites;
+    for (const nxe::ThreadAction& action : actions) {
+      if (action.kind == nxe::ActionKind::kSyscall &&
+          sc::IsSyncRelevant(trace.SyscallOf(action).no)) {
+        sites.push_back(action.index);
       }
     }
     if (sites.empty()) {
@@ -195,7 +200,7 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
                                 std::to_string(injection.variant) +
                                 " has no sync-relevant syscall to diverge at");
     }
-    sc::SyscallRecord& rec = actions[sites[sites.size() / 2]].syscall;
+    sc::SyscallRecord& rec = trace.syscalls[sites[sites.size() / 2]];
     rec.payload_digest = sc::DigestString(injection.payload);
     rec.args[1] = static_cast<int64_t>(injection.payload.size());
   }

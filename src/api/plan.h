@@ -115,9 +115,15 @@ struct VariantPlan {
   std::string CacheKey() const;
 };
 
+// The template every trace of the plan's target derives from for `seed`
+// (workload::BuildTemplate or BuildServerTemplate). Build it once per seed
+// and hand it to BuildPlanTraces for each member subset and to
+// workload::DeriveTrace for the baseline.
+workload::TraceTemplate BuildPlanTemplate(const VariantPlan& plan, uint64_t seed);
+
 // Builds the concrete variant traces a backend (or the static analyzer)
 // executes for the plan's member subset: one trace per member (specs[global]
-// through the target's workload generator), with the plan's detection and
+// derived from the seed's template), with the plan's detection and
 // divergence injections spliced into the members that own them. This is the
 // single home of the splice rules — TraceBackend::Run and
 // analysis::AnalyzePlan call it, so what the analyzer proves about the
@@ -127,11 +133,15 @@ StatusOr<std::vector<nxe::VariantTrace>> BuildPlanTraces(const VariantPlan& plan
                                                          const std::vector<size_t>& members,
                                                          uint64_t seed);
 
-// Out-param form for warm callers: `out` is cleared and refilled, reusing
-// its element capacity where the generators allow. On error `out` is left
-// cleared. Identical traces to the value-returning overload.
+// Out-param form for warm callers: `out` is refilled in place, reusing each
+// element's capacity. On error `out` is left cleared. Identical traces to
+// the value-returning overload.
 Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& members,
                        uint64_t seed, std::vector<nxe::VariantTrace>* out);
+
+// Template form: the same traces, derived from BuildPlanTemplate(plan, seed).
+Status BuildPlanTraces(const VariantPlan& plan, const workload::TraceTemplate& tmpl,
+                       const std::vector<size_t>& members, std::vector<nxe::VariantTrace>* out);
 
 // The session's variant slots dealt into k shard groups — the single home of
 // the grouping rule, used for both Shards(k) and Remote() (whose groups run

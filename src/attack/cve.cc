@@ -112,21 +112,21 @@ StatusOr<CveRunResult> RunCve(const CveCase& cve_case, uint64_t seed) {
       benign.args = {4, 512, 0, 0, 0, 0};
       benign.payload_digest = sc::DigestString(cve_case.cve + "/benign#" + std::to_string(i));
       actions.push_back(nxe::ThreadAction::Compute(40.0));
-      actions.push_back(nxe::ThreadAction::Syscall(benign));
+      actions.push_back(trace.AddSyscall(benign));
     }
 
     sc::SyscallRecord exploit_input;
     exploit_input.no = sc::Sysno::kRecv;
     exploit_input.args = {4, 4096, 0, 0, 0, 0};
     exploit_input.payload_digest = sc::DigestString(cve_case.exploit_sources.front());
-    actions.push_back(nxe::ThreadAction::Syscall(exploit_input));
+    actions.push_back(trace.AddSyscall(exploit_input));
     actions.push_back(nxe::ThreadAction::Compute(25.0));
 
     if (v == protected_variant) {
       // The check in this variant fires inside the vulnerable function. Its
       // runtime writes the report (the extra write syscall the paper observes
       // from variant A) and aborts.
-      actions.push_back(nxe::ThreadAction::Detect(DetectorFor(cve_case)));
+      actions.push_back(trace.AddDetect(DetectorFor(cve_case)));
     } else {
       // The unprotected variant is corrupted; its post-exploit behavior
       // (payload stage 2) diverges from the protected sibling.
@@ -134,7 +134,7 @@ StatusOr<CveRunResult> RunCve(const CveCase& cve_case, uint64_t seed) {
       damage.no = sc::Sysno::kWrite;
       damage.args = {4, 64, 0, 0, 0, 0};
       damage.payload_digest = sc::DigestString("leaked-secret");
-      actions.push_back(nxe::ThreadAction::Syscall(damage));
+      actions.push_back(trace.AddSyscall(damage));
     }
     actions.push_back(nxe::ThreadAction::Exit());
   }

@@ -271,12 +271,12 @@ bool BunshinStopsAttack(const RipeAttack& attack) {
     input.args = {0, 1024, 0, 0, 0, 0};
     input.payload_digest = sc::DigestString("ripe-input#" + std::to_string(attack.Index()));
     actions.push_back(nxe::ThreadAction::Compute(50.0));
-    actions.push_back(nxe::ThreadAction::Syscall(input));
+    actions.push_back(trace.AddSyscall(input));
     actions.push_back(nxe::ThreadAction::Compute(30.0));
 
     if (detectable && v == protected_variant) {
       // This variant carries the ASan check of the vulnerable function.
-      actions.push_back(nxe::ThreadAction::Detect("__asan_report_store"));
+      actions.push_back(trace.AddDetect("__asan_report_store"));
     } else if (detectable) {
       // The overflow corrupts this unprotected variant; the attacker's
       // payload eventually issues its damage syscall, which diverges from
@@ -284,7 +284,7 @@ bool BunshinStopsAttack(const RipeAttack& attack) {
       sc::SyscallRecord damage;
       damage.no = sc::Sysno::kExecve;
       damage.payload_digest = sc::DigestString("/bin/sh");
-      actions.push_back(nxe::ThreadAction::Syscall(damage));
+      actions.push_back(trace.AddSyscall(damage));
       actions.push_back(nxe::ThreadAction::Exit());
       continue;
     } else {
@@ -294,7 +294,7 @@ bool BunshinStopsAttack(const RipeAttack& attack) {
       sc::SyscallRecord damage;
       damage.no = sc::Sysno::kExecve;
       damage.payload_digest = sc::DigestString("/bin/sh");
-      actions.push_back(nxe::ThreadAction::Syscall(damage));
+      actions.push_back(trace.AddSyscall(damage));
     }
     actions.push_back(nxe::ThreadAction::Exit());
   }

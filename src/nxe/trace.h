@@ -3,15 +3,30 @@
 // A simulated variant process is described by the sequence of actions each of
 // its threads performs: compute bursts (with a cost in abstract cycles),
 // syscalls (with full argument records), and pthreads-style synchronization
-// operations. The workload generators (src/workload) produce a common
-// template per benchmark; the variant generator derives per-variant traces by
-// scaling compute (sanitizer slowdown), adding sanitizer-introduced syscalls,
-// and splicing in attack behavior for the security experiments.
+// operations. The workload generators (src/workload) build one immutable
+// template per (target, seed); each variant's trace is derived from it by
+// jittering compute costs, placing the sanitizer runtime's syscalls, and (in
+// api::BuildPlanTraces) splicing in attack behavior.
+//
+// Layout: a ThreadAction is a 16-byte {kind, index, cost} record, so the
+// engine walks dense arrays. Operands that do not fit in a word live in side
+// tables on the VariantTrace:
+//   * kSyscall: `index` selects the record in VariantTrace::syscalls;
+//   * kDetect: `index` selects the handler name in VariantTrace::detectors;
+//   * kLockAcquire/kLockRelease/kBarrier: `index` is the sync id itself.
+// Every index must name a slot of its own trace's table (AddSyscall and
+// AddDetect hand out only such actions), and each slot is referenced by
+// exactly one action, so rewriting a record (a divergence splice) changes
+// that one syscall only. Derived traces fill the syscall table in action
+// order, thread by thread, so a scheduler walking a thread reads its records
+// front to back. A trace is self-contained: tables are never shared between
+// traces, and copying a VariantTrace copies its tables.
 #ifndef BUNSHIN_SRC_NXE_TRACE_H_
 #define BUNSHIN_SRC_NXE_TRACE_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/syscall/syscall.h"
@@ -21,63 +36,28 @@ namespace nxe {
 
 enum class ActionKind : uint8_t {
   kCompute,      // burn `cost` cycles
-  kSyscall,      // trap with `syscall`
-  kLockAcquire,  // pthread_mutex_lock-style primitive on `sync_id`
+  kSyscall,      // trap with the record syscalls[index]
+  kLockAcquire,  // pthread_mutex_lock-style primitive on sync id `index`
   kLockRelease,
-  kBarrier,      // pthread_barrier_wait on `sync_id` (all threads of variant)
-  kDetect,       // a sanitizer check fired here (variant aborts with report)
+  kBarrier,      // pthread_barrier_wait on sync id `index` (all threads of variant)
+  kDetect,       // sanitizer check detectors[index] fired (variant aborts with report)
   kExit,         // thread finishes
 };
 
 struct ThreadAction {
   ActionKind kind = ActionKind::kCompute;
-  double cost = 0.0;          // kCompute: cycles; others: trap/primitive cost extra
-  sc::SyscallRecord syscall;  // kSyscall
-  uint32_t sync_id = 0;       // kLockAcquire/kLockRelease/kBarrier
-  std::string detector;       // kDetect: report handler name
+  uint32_t index = 0;  // table slot or sync id (see the header comment)
+  double cost = 0.0;   // kCompute: cycles
 
-  static ThreadAction Compute(double cycles) {
-    ThreadAction a;
-    a.kind = ActionKind::kCompute;
-    a.cost = cycles;
-    return a;
-  }
-  static ThreadAction Syscall(const sc::SyscallRecord& record) {
-    ThreadAction a;
-    a.kind = ActionKind::kSyscall;
-    a.syscall = record;
-    return a;
-  }
-  static ThreadAction Lock(uint32_t id) {
-    ThreadAction a;
-    a.kind = ActionKind::kLockAcquire;
-    a.sync_id = id;
-    return a;
-  }
-  static ThreadAction Unlock(uint32_t id) {
-    ThreadAction a;
-    a.kind = ActionKind::kLockRelease;
-    a.sync_id = id;
-    return a;
-  }
-  static ThreadAction Barrier(uint32_t id) {
-    ThreadAction a;
-    a.kind = ActionKind::kBarrier;
-    a.sync_id = id;
-    return a;
-  }
-  static ThreadAction Detect(std::string detector) {
-    ThreadAction a;
-    a.kind = ActionKind::kDetect;
-    a.detector = std::move(detector);
-    return a;
-  }
-  static ThreadAction Exit() {
-    ThreadAction a;
-    a.kind = ActionKind::kExit;
-    return a;
-  }
+  static ThreadAction Compute(double cycles) { return {ActionKind::kCompute, 0, cycles}; }
+  static ThreadAction Syscall(uint32_t slot) { return {ActionKind::kSyscall, slot, 0.0}; }
+  static ThreadAction Lock(uint32_t id) { return {ActionKind::kLockAcquire, id, 0.0}; }
+  static ThreadAction Unlock(uint32_t id) { return {ActionKind::kLockRelease, id, 0.0}; }
+  static ThreadAction Barrier(uint32_t id) { return {ActionKind::kBarrier, id, 0.0}; }
+  static ThreadAction Detect(uint32_t slot) { return {ActionKind::kDetect, slot, 0.0}; }
+  static ThreadAction Exit() { return {ActionKind::kExit, 0, 0.0}; }
 };
+static_assert(sizeof(ThreadAction) == 16, "ThreadAction must stay a 16-byte record");
 
 struct ThreadTrace {
   std::vector<ThreadAction> actions;
@@ -94,11 +74,24 @@ struct VariantTrace {
   std::vector<sc::SyscallRecord> pre_main;
   std::vector<sc::SyscallRecord> post_exit;
   std::vector<ThreadTrace> threads;
+  // Side tables the actions index (see the header comment).
+  std::vector<sc::SyscallRecord> syscalls;
+  std::vector<std::string> detectors;
 
-  // An action's operands, whatever the record layout stores inline.
-  const sc::SyscallRecord& SyscallOf(const ThreadAction& a) const { return a.syscall; }
-  const std::string& DetectorOf(const ThreadAction& a) const { return a.detector; }
-  static uint32_t SyncIdOf(const ThreadAction& a) { return a.sync_id; }
+  // Appends an operand to its table and returns the action that uses it.
+  ThreadAction AddSyscall(const sc::SyscallRecord& record) {
+    syscalls.push_back(record);
+    return ThreadAction::Syscall(static_cast<uint32_t>(syscalls.size() - 1));
+  }
+  ThreadAction AddDetect(std::string detector) {
+    detectors.push_back(std::move(detector));
+    return ThreadAction::Detect(static_cast<uint32_t>(detectors.size() - 1));
+  }
+
+  // An action's operands.
+  const sc::SyscallRecord& SyscallOf(const ThreadAction& a) const { return syscalls[a.index]; }
+  const std::string& DetectorOf(const ThreadAction& a) const { return detectors[a.index]; }
+  static uint32_t SyncIdOf(const ThreadAction& a) { return a.index; }
 
   size_t TotalActions() const {
     size_t n = 0;

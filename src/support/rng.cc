@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,50 +23,9 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  if (bound == 0) {
-    return 0;
-  }
-  // Rejection sampling over the largest multiple of bound below 2^64.
-  const uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const uint64_t r = NextU64();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
-}
-
 int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   return lo + static_cast<int64_t>(NextBounded(span));
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::NextBool(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 double Rng::NextExponential(double mean) {
@@ -80,11 +37,7 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(1.0 - u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
-  if (have_cached_gaussian_) {
-    have_cached_gaussian_ = false;
-    return mean + stddev * cached_gaussian_;
-  }
+double Rng::NextGaussianPair(double mean, double stddev) {
   double u1 = NextDouble();
   double u2 = NextDouble();
   if (u1 <= 0.0) {

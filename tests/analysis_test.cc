@@ -103,11 +103,11 @@ std::vector<nxe::VariantTrace> IdenticalVariants(size_t n, size_t threads, bool 
     for (size_t t = 0; t < threads; ++t) {
       auto& actions = variants[v].threads[t].actions;
       actions.push_back(nxe::ThreadAction::Compute(5.0));
-      actions.push_back(nxe::ThreadAction::Syscall(SyncRecord(1)));
+      actions.push_back(variants[v].AddSyscall(SyncRecord(1)));
       if (with_barrier) {
         actions.push_back(nxe::ThreadAction::Barrier(0));
       }
-      actions.push_back(nxe::ThreadAction::Syscall(SyncRecord(2)));
+      actions.push_back(variants[v].AddSyscall(SyncRecord(2)));
       actions.push_back(nxe::ThreadAction::Exit());
     }
   }
@@ -165,7 +165,7 @@ TEST(TraceAnalyzerTest, FlagsSkippedBarrierAsTheMalformedTraceItIs) {
   auto& actions = variants[1].threads[1].actions;
   actions.clear();
   actions.push_back(nxe::ThreadAction::Compute(5.0));
-  actions.push_back(nxe::ThreadAction::Syscall(SyncRecord(1)));
+  actions.push_back(variants[1].AddSyscall(SyncRecord(1)));
   actions.push_back(nxe::ThreadAction::Exit());
   AnalysisReport report;
   AnalyzeTraces(config, variants, &report);
@@ -242,7 +242,7 @@ TEST(TraceAnalyzerTest, PredictsInjectedDetections) {
   const nxe::EngineConfig config;
   auto variants = IdenticalVariants(2, 1, false);
   auto& actions = variants[1].threads[0].actions;
-  actions.insert(actions.begin() + 1, nxe::ThreadAction::Detect("__asan_report_store"));
+  actions.insert(actions.begin() + 1, variants[1].AddDetect("__asan_report_store"));
   AnalysisReport report;
   AnalyzeTraces(config, variants, &report);
   EXPECT_TRUE(report.HasRule("analysis/expected-detection"));

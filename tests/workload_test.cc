@@ -1,6 +1,11 @@
 // Tests for the workload catalog and trace generation invariants.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "src/nxe/engine.h"
 #include "src/workload/tracegen.h"
 #include "src/workload/workload.h"
@@ -51,13 +56,13 @@ TEST(TracegenTest, SyncRelevantSequenceIdenticalAcrossVariants) {
     std::vector<sc::SyscallRecord> sa;
     std::vector<sc::SyscallRecord> sb;
     for (const auto& act : ta.threads[t].actions) {
-      if (act.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(act.syscall.no)) {
-        sa.push_back(act.syscall);
+      if (act.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(ta.SyscallOf(act).no)) {
+        sa.push_back(ta.SyscallOf(act));
       }
     }
     for (const auto& act : tb.threads[t].actions) {
-      if (act.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(act.syscall.no)) {
-        sb.push_back(act.syscall);
+      if (act.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(tb.SyscallOf(act).no)) {
+        sb.push_back(tb.SyscallOf(act));
       }
     }
     ASSERT_EQ(sa.size(), sb.size());
@@ -131,8 +136,8 @@ TEST(TracegenTest, ServerTraceRequestStructure) {
     if (act.kind != nxe::ActionKind::kSyscall) {
       continue;
     }
-    writes += act.syscall.no == sc::Sysno::kWrite ? 1 : 0;
-    accepts += act.syscall.no == sc::Sysno::kAccept ? 1 : 0;
+    writes += trace.SyscallOf(act).no == sc::Sysno::kWrite ? 1 : 0;
+    accepts += trace.SyscallOf(act).no == sc::Sysno::kAccept ? 1 : 0;
   }
   EXPECT_EQ(accepts, 8u);
   EXPECT_EQ(writes, 8u * 16u);  // 16 chunks per 1MB response
@@ -162,6 +167,109 @@ TEST(TracegenTest, IdenticalVariantsRunCleanUnderEngine) {
   }
   for (const auto& spec : workload::ParsecSupported()) {
     check(spec);
+  }
+}
+
+// Resolved, field-by-field equality of two traces (operands looked up in
+// each trace's own tables).
+void ExpectSameTrace(const nxe::VariantTrace& a, const nxe::VariantTrace& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.compute_scale, b.compute_scale);
+  EXPECT_EQ(a.pre_main.size(), b.pre_main.size());
+  EXPECT_EQ(a.post_exit.size(), b.post_exit.size());
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (size_t t = 0; t < a.threads.size(); ++t) {
+    const auto& xs = a.threads[t].actions;
+    const auto& ys = b.threads[t].actions;
+    ASSERT_EQ(xs.size(), ys.size()) << "thread " << t;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(xs[i].kind, ys[i].kind) << "thread " << t << " action " << i;
+      EXPECT_EQ(xs[i].cost, ys[i].cost) << "thread " << t << " action " << i;
+      if (xs[i].kind == nxe::ActionKind::kSyscall) {
+        const sc::SyscallRecord& x = a.SyscallOf(xs[i]);
+        const sc::SyscallRecord& y = b.SyscallOf(ys[i]);
+        EXPECT_TRUE(x.SameRequest(y) && x.result == y.result) << "thread " << t << " action " << i;
+      } else {
+        EXPECT_EQ(xs[i].index, ys[i].index) << "thread " << t << " action " << i;
+      }
+    }
+  }
+}
+
+// Deriving into a trace that already holds another variant (the warm
+// path's reuse of capacity) must leave nothing of the old one behind.
+TEST(TracegenTest, DeriveIntoReusedTraceMatchesFreshDerive) {
+  const auto& radiosity = *workload::FindBenchmark("radiosity");
+  const auto& perlbench = *workload::FindBenchmark("perlbench");
+  workload::VariantSpec asan;
+  asan.name = "asan";
+  asan.compute_scale = 2.1;
+  asan.jitter_seed = 3;
+  asan.sanitizers = {san::SanitizerId::kASan, san::SanitizerId::kUBSan};
+  workload::VariantSpec plain;
+  plain.name = "plain";
+
+  nxe::VariantTrace reused =
+      workload::DeriveTrace(workload::BuildTemplate(radiosity, 9), asan);
+  reused.AddDetect("__asan_report_store");
+  workload::DeriveTrace(workload::BuildTemplate(perlbench, 4), plain, &reused);
+  ExpectSameTrace(reused, workload::BuildTrace(perlbench, plain, 4));
+  EXPECT_TRUE(reused.detectors.empty());
+
+  workload::DeriveTrace(workload::BuildTemplate(radiosity, 9), asan, &reused);
+  ExpectSameTrace(reused, workload::BuildTrace(radiosity, asan, 9));
+}
+
+// PlaceSplices' final positions against the sequential vector::insert calls
+// they replace, over random thread lengths and splice counts, positions at
+// both ends included.
+TEST(TracegenTest, PlaceSplicesMatchesSequentialInsert) {
+  std::mt19937_64 rng(20261017);
+  for (int round = 0; round < 2000; ++round) {
+    const size_t base_size = rng() % 40;
+    const size_t n_splices = rng() % 16;
+    // Base actions are tagged -1 - i, splice i is tagged i.
+    std::vector<int64_t> expected;
+    for (size_t i = 0; i < base_size; ++i) {
+      expected.push_back(-1 - static_cast<int64_t>(i));
+    }
+    std::vector<workload::Splice> splices;
+    for (size_t i = 0; i < n_splices; ++i) {
+      const size_t size = base_size + i;
+      size_t position = rng() % (size + 1);
+      switch (rng() % 4) {
+        case 0:
+          position = 0;
+          break;
+        case 1:
+          position = size;  // append
+          break;
+        default:
+          break;
+      }
+      expected.insert(expected.begin() + static_cast<std::ptrdiff_t>(position),
+                      static_cast<int64_t>(i));
+      workload::Splice splice;
+      splice.position = position;
+      splice.record.args[0] = static_cast<int64_t>(i);
+      splices.push_back(splice);
+    }
+    workload::PlaceSplices(&splices);
+    // Fill the final thread the way DeriveTrace does: splices at their
+    // positions, base actions in order around them.
+    std::vector<int64_t> merged;
+    auto splice = splices.begin();
+    size_t from = 0;
+    for (size_t o = 0; o < base_size + n_splices; ++o) {
+      if (splice != splices.end() && splice->position == o) {
+        merged.push_back(splice->record.args[0]);
+        ++splice;
+      } else {
+        merged.push_back(-1 - static_cast<int64_t>(from++));
+      }
+    }
+    ASSERT_EQ(splice, splices.end()) << "round " << round;
+    ASSERT_EQ(merged, expected) << "round " << round;
   }
 }
 
