@@ -78,15 +78,14 @@ int main() {
   // Followers: same 4 threads, no knowledge of the interleaving — the
   // synccall runtime forces them into the leader's order.
   for (size_t f = 0; f < 2; ++f) {
-    std::vector<uint32_t> replayed;
-    std::mutex mu;
+    // Each acquisition lands at the order index the runtime handed it.
+    std::vector<uint32_t> replayed(order.size());
     std::vector<std::thread> follower;
     for (size_t t = 0; t < kThreads; ++t) {
       follower.emplace_back([&, t] {
         for (size_t r = 0; r < kRounds; ++r) {
-          runtime.FollowerAcquire(f, static_cast<uint32_t>(t));
-          std::lock_guard<std::mutex> lock(mu);
-          replayed.push_back(static_cast<uint32_t>(t));
+          replayed[runtime.FollowerAcquire(f, static_cast<uint32_t>(t))] =
+              static_cast<uint32_t>(t);
         }
       });
     }

@@ -13,14 +13,15 @@ void SynccallRuntime::LeaderAcquire(uint32_t egid) {
   cv_.notify_all();
 }
 
-void SynccallRuntime::FollowerAcquire(size_t follower, uint32_t egid) {
+size_t SynccallRuntime::FollowerAcquire(size_t follower, uint32_t egid) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] {
     return cursor_[follower] < order_.size() && order_[cursor_[follower]] == egid;
   });
-  ++cursor_[follower];
+  const size_t consumed = cursor_[follower]++;
   // Consuming an entry may make the next entry's owner runnable.
   cv_.notify_all();
+  return consumed;
 }
 
 bool SynccallRuntime::FollowerTryAcquire(size_t follower, uint32_t egid) {

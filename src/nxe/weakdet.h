@@ -31,8 +31,10 @@ class SynccallRuntime {
   void LeaderAcquire(uint32_t egid);
 
   // Follower side: blocks until the next unconsumed order entry for
-  // `follower` equals `egid`, then consumes it.
-  void FollowerAcquire(size_t follower, uint32_t egid);
+  // `follower` equals `egid`, then consumes it. Returns the consumed entry's
+  // index in the order — decided under the runtime's lock, so a caller can
+  // record its replay position without racing the next entry's owner.
+  size_t FollowerAcquire(size_t follower, uint32_t egid);
 
   // Non-blocking probe used by tests/telemetry.
   bool FollowerTryAcquire(size_t follower, uint32_t egid);
@@ -58,9 +60,11 @@ class DetMutex {
     runtime_->LeaderAcquire(egid_);
     mu_.lock();
   }
-  void LockAsFollower(size_t follower) {
-    runtime_->FollowerAcquire(follower, egid_);
+  // Returns the order index this acquisition consumed (see FollowerAcquire).
+  size_t LockAsFollower(size_t follower) {
+    const size_t consumed = runtime_->FollowerAcquire(follower, egid_);
     mu_.lock();
+    return consumed;
   }
   void Unlock() { mu_.unlock(); }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -64,23 +64,30 @@ TEST(WeakDetTest, FollowersReplayLeaderOrder) {
 
   // Followers: per-thread acquisition counts must be consumable exactly in
   // the recorded order. Each follower runs kThreads real threads that only
-  // know "I am EGID t and I acquire N times".
+  // know "I am EGID t and I acquire N times". Each acquisition records the
+  // order index it consumed (fixed under the runtime's lock): appending after
+  // FollowerAcquire returns would race the next entry's owner.
+  constexpr uint32_t kUnconsumed = UINT32_MAX;
   for (size_t f = 0; f < kFollowers; ++f) {
-    std::vector<uint32_t> replayed;
-    std::mutex replay_mu;
+    std::vector<uint32_t> replayed(order.size(), kUnconsumed);
+    std::atomic<size_t> out_of_range{0};
     std::vector<std::thread> follower_threads;
     for (size_t t = 0; t < kThreads; ++t) {
       follower_threads.emplace_back([&, t] {
         for (size_t i = 0; i < kAcquisitionsPerThread; ++i) {
-          runtime.FollowerAcquire(f, static_cast<uint32_t>(t));
-          std::lock_guard<std::mutex> lock(replay_mu);
-          replayed.push_back(static_cast<uint32_t>(t));
+          const size_t index = runtime.FollowerAcquire(f, static_cast<uint32_t>(t));
+          if (index >= replayed.size() || replayed[index] != kUnconsumed) {
+            ++out_of_range;  // consumed twice, or past the recorded order
+            continue;
+          }
+          replayed[index] = static_cast<uint32_t>(t);
         }
       });
     }
     for (auto& t : follower_threads) {
       t.join();
     }
+    EXPECT_EQ(out_of_range.load(), 0u) << "follower " << f;
     EXPECT_EQ(replayed, order) << "follower " << f << " diverged from leader order";
   }
 }
@@ -97,23 +104,16 @@ TEST(WeakDetTest, DetMutexEnforcesLeaderOrderAcrossFollowerThreads) {
   mu_a.Unlock();
 
   // Follower threads try A-first and B-first concurrently; the runtime must
-  // force B before A regardless of scheduling.
-  std::vector<int> sequence;
-  std::mutex seq_mu;
+  // force B before A regardless of scheduling. Each thread records its mutex
+  // at the order index its acquisition consumed: appending after the lock
+  // returns would race the other thread, which may already hold its mutex.
+  std::vector<int> sequence(2, -1);
   std::thread ta([&] {
-    mu_a.LockAsFollower(0);
-    {
-      std::lock_guard<std::mutex> lock(seq_mu);
-      sequence.push_back(0);
-    }
+    sequence[mu_a.LockAsFollower(0)] = 0;
     mu_a.Unlock();
   });
   std::thread tb([&] {
-    mu_b.LockAsFollower(0);
-    {
-      std::lock_guard<std::mutex> lock(seq_mu);
-      sequence.push_back(1);
-    }
+    sequence[mu_b.LockAsFollower(0)] = 1;
     mu_b.Unlock();
   });
   ta.join();
