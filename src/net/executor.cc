@@ -43,15 +43,15 @@ void ExecutorServer::Start() {
 }
 
 void ExecutorServer::Stop() {
-  std::vector<std::shared_ptr<support::Socket>> connections;
-  std::vector<std::thread> threads;
+  std::unordered_map<uint64_t, Connection> connections;
+  std::vector<std::thread> finished;
   std::unique_ptr<support::TcpListener> listener;
   std::thread accept_thread;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
     connections.swap(connections_);
-    threads.swap(threads_);
+    finished.swap(finished_);
     listener = std::move(listener_);
     accept_thread = std::move(accept_thread_);
   }
@@ -61,13 +61,14 @@ void ExecutorServer::Stop() {
   if (listener != nullptr) {
     listener->Close();
   }
-  for (const auto& socket : connections) {
-    socket->Close();
+  for (const auto& [id, connection] : connections) {
+    connection.socket->Close();
   }
-  for (auto& thread : threads) {
-    if (thread.joinable()) {
-      thread.join();
-    }
+  for (auto& [id, connection] : connections) {
+    connection.thread.join();
+  }
+  for (auto& thread : finished) {
+    thread.join();
   }
   if (accept_thread.joinable()) {
     accept_thread.join();
@@ -107,43 +108,61 @@ void ExecutorServer::AcceptLoop() {
     if (!accepted.ok()) {
       return;  // listener closed by Stop()
     }
-    std::shared_ptr<support::Socket> socket = std::move(*accepted);
-    std::thread thread([this, socket] { ServeConnection(socket); });
-    TrackConnection(socket, std::move(thread));
+    StartConnection(std::move(*accepted));
   }
 }
 
 StatusOr<std::unique_ptr<support::Socket>> ExecutorServer::ConnectLoopback() {
   auto [client, server] = support::LoopbackSocketPair();
-  std::shared_ptr<support::Socket> served = std::move(server);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return Unavailable("executor is stopped");
-    }
+  if (!StartConnection(std::move(server))) {
+    return Unavailable("executor is stopped");
   }
-  std::thread thread([this, served] { ServeConnection(served); });
-  TrackConnection(served, std::move(thread));
   return std::move(client);
 }
 
-void ExecutorServer::TrackConnection(std::shared_ptr<support::Socket> socket,
-                                     std::thread thread) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopped_) {
-    // Lost the race with Stop(): sever immediately; the thread exits on its
-    // first read and is detached (nothing left to join it).
-    socket->Close();
-    thread.detach();
-    return;
+bool ExecutorServer::StartConnection(std::shared_ptr<support::Socket> socket) {
+  std::vector<std::thread> reaped;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopped_) {
+      socket->Close();
+      return false;
+    }
+    reaped.swap(finished_);
+    // The thread cannot finish before its entry exists: FinishConnection
+    // takes mu_, held here until the entry is in.
+    const uint64_t id = next_connection_id_++;
+    std::thread thread([this, id, socket] {
+      ServeConnection(*socket);
+      FinishConnection(id);
+    });
+    connections_.emplace(id, Connection{std::move(socket), std::move(thread)});
   }
-  connections_.push_back(std::move(socket));
-  threads_.push_back(std::move(thread));
+  // Threads that already left FinishConnection; each join returns at once.
+  for (auto& thread : reaped) {
+    thread.join();
+  }
+  return true;
 }
 
-void ExecutorServer::ServeConnection(std::shared_ptr<support::Socket> socket) {
+void ExecutorServer::FinishConnection(uint64_t id) {
+  Connection finished;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = connections_.find(id);
+  if (it == connections_.end()) {
+    return;  // Stop() took the entry and joins this thread
+  }
+  finished = std::move(it->second);
+  connections_.erase(it);
+  // This thread cannot join itself; the next connection (or Stop()) does.
+  finished_.push_back(std::move(finished.thread));
+  // `finished.socket` drops the table's reference here; the serve lambda's
+  // copy goes when this thread returns, closing the connection's fd.
+}
+
+void ExecutorServer::ServeConnection(support::Socket& socket) {
   for (;;) {
-    StatusOr<Frame> frame = ReadFrame(*socket);
+    StatusOr<Frame> frame = ReadFrame(socket);
     if (!frame.ok()) {
       return;  // peer done, Stop(), or an unrecoverable framing error
     }
@@ -170,7 +189,7 @@ void ExecutorServer::ServeConnection(std::shared_ptr<support::Socket> socket) {
         break;
       }
     }
-    if (!WriteFrame(*socket, reply).ok()) {
+    if (!WriteFrame(socket, reply).ok()) {
       return;
     }
   }

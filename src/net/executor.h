@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/api/nvx.h"
@@ -97,13 +98,25 @@ class ExecutorServer {
   api::PlanCacheStats plan_cache_stats() const { return plan_cache_.stats(); }
 
  private:
+  // A served connection: its socket (closed by Stop() to sever it) and the
+  // thread running its serve loop.
+  struct Connection {
+    std::shared_ptr<support::Socket> socket;
+    std::thread thread;
+  };
+
   // One connection's serve loop: read frame, handle, reply, repeat until the
   // peer or Stop() closes the stream.
-  void ServeConnection(std::shared_ptr<support::Socket> socket);
+  void ServeConnection(support::Socket& socket);
   void AcceptLoop();
   // Handles one kRunRequest payload; always produces a reply frame.
   RunReplyMsg HandleRun(const std::string& payload);
-  void TrackConnection(std::shared_ptr<support::Socket> socket, std::thread thread);
+  // Serves `socket` on a new thread and joins the threads of connections
+  // that finished since the last call. False (socket closed) while stopped.
+  bool StartConnection(std::shared_ptr<support::Socket> socket);
+  // Called by a serve thread as it exits: drops the connection's socket and
+  // hands the thread to the next StartConnection() or Stop() to join.
+  void FinishConnection(uint64_t id);
 
   const ExecutorOptions options_;
   api::PlanCache plan_cache_;
@@ -114,8 +127,11 @@ class ExecutorServer {
 
   mutable std::mutex mu_;
   bool stopped_ = false;
-  std::vector<std::shared_ptr<support::Socket>> connections_;
-  std::vector<std::thread> threads_;
+  // Live connections only: a finished one leaves at once, so a daemon's fds
+  // and threads stay bounded by its concurrent connections.
+  std::unordered_map<uint64_t, Connection> connections_;
+  std::vector<std::thread> finished_;  // exited serve threads not yet joined
+  uint64_t next_connection_id_ = 0;
   std::unique_ptr<support::TcpListener> listener_;
   std::thread accept_thread_;
   uint16_t port_ = 0;

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -880,6 +881,56 @@ TEST(TcpTest, RemoteSessionOverRealSockets) {
   auto local = local_session->Run();
   ASSERT_TRUE(local.ok());
   ExpectReportsIdentical(*remote, *local, "tcp remote vs local");
+  server->Stop();
+}
+
+// Entries of a /proc/self directory (open fds, live threads).
+size_t ProcEntries(const char* dir) {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ++n;
+  }
+  return n;
+}
+
+// A daemon under connection churn keeps its fds and threads bounded: every
+// run dials a fresh connection, and the executor drops a finished
+// connection's socket and joins its thread instead of keeping both until
+// Stop().
+TEST(TcpTest, ConnectionChurnKeepsFdsAndThreadsBounded) {
+  auto server = std::make_shared<ExecutorServer>();
+  Status listening = server->ListenTcp(0);
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind a TCP socket in this environment: "
+                 << listening.ToString();
+  }
+  workload::BenchmarkSpec tiny;
+  tiny.name = "tiny";
+  tiny.total_compute = 400.0;
+  tiny.n_syscalls = 4;
+  NvxBuilder builder;
+  builder.Benchmark(tiny).Variants(2).Seed(7);
+  auto session = builder.Remote({net::TcpEndpoint("127.0.0.1", server->port())}).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto run = [&] {
+    auto report = session->Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->outcome, NvxOutcome::kOk);
+  };
+  for (int i = 0; i < 20; ++i) {
+    run();  // warm up the pools
+  }
+  const size_t fds = ProcEntries("/proc/self/fd");
+  const size_t tasks = ProcEntries("/proc/self/task");
+  constexpr size_t kSlack = 8;
+  for (int i = 1; i <= 2000; ++i) {
+    run();
+    if (i % 250 == 0) {
+      ASSERT_LE(ProcEntries("/proc/self/fd"), fds + kSlack) << "after " << i << " runs";
+      ASSERT_LE(ProcEntries("/proc/self/task"), tasks + kSlack) << "after " << i << " runs";
+    }
+  }
+  EXPECT_GE(server->stats().requests, 2000u);
   server->Stop();
 }
 
