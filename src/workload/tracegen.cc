@@ -29,7 +29,7 @@ class TagDigest {
   uint64_t Digest() const { return sc::DigestBytes(buf_, size_); }
 
  private:
-  char buf_[64];
+  char buf_[80];  // the longest tag below: "req#", "/", "#chunk" and three 20-digit numbers
   size_t size_ = 0;
 };
 

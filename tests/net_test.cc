@@ -894,9 +894,8 @@ size_t ProcEntries(const char* dir) {
 }
 
 // A daemon under connection churn keeps its fds and threads bounded: every
-// run dials a fresh connection, and the executor drops a finished
-// connection's socket and joins its thread instead of keeping both until
-// Stop().
+// run dials a fresh connection, and a finished connection's socket and
+// serve thread must not outlive it until Stop().
 TEST(TcpTest, ConnectionChurnKeepsFdsAndThreadsBounded) {
   auto server = std::make_shared<ExecutorServer>();
   Status listening = server->ListenTcp(0);
