@@ -1,15 +1,17 @@
 #include "src/analysis/plan_analyzer.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/analysis/trace_analyzer.h"
 #include "src/distribution/distribution.h"
-#include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
 #include "src/workload/funcprofile.h"
 
@@ -152,31 +154,59 @@ void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report
   if (!plan.benchmark.has_value()) {
     return;  // plan/no-target or plan/server-distribution already reported
   }
-  // Recompute the ground-truth function set the same way the planner did:
-  // profile synthesis is deterministic in (benchmark, sanitizer, seed).
-  const profile::OverheadProfile profile =
-      workload::SynthesizeFunctionProfile(*plan.benchmark, plan.check_sanitizer, plan.seed);
-  std::set<std::string> ground;
-  for (const profile::FunctionOverhead& fn : profile.functions) {
-    ground.insert(fn.function);
+  // The ground-truth function set is the planner's profile, whose functions
+  // are named by index (workload::ProfiledFunctionName); ProfiledFunctionIndex
+  // accepts exactly those names, so coverage is checked per index without
+  // re-synthesizing the profile.
+  const workload::BenchmarkSpec& bench = *plan.benchmark;
+  const size_t n_profiled = std::max<size_t>(1, bench.n_functions);
+  size_t n_named = 0;
+  for (const std::vector<std::string>& subset : cp.protected_functions) {
+    n_named += subset.size();
   }
-  std::map<std::string, size_t> owner;  // function -> owning subset
+  // n_functions is one unchecked wire field: index the owner table by
+  // function only while the subsets could come near covering it. Past that,
+  // the table holds just the named indices (sorted) and the gap is counted,
+  // not enumerated — memory stays bounded by the decoded plan.
+  constexpr size_t kEnumerableSlack = 64;
+  const bool enumerable = n_profiled <= 2 * n_named + kEnumerableSlack;
+  std::vector<size_t> named;  // !enumerable: the distinct named indices
+  if (!enumerable) {
+    for (const std::vector<std::string>& subset : cp.protected_functions) {
+      for (const std::string& name : subset) {
+        if (const std::optional<size_t> index = workload::ProfiledFunctionIndex(bench, name)) {
+          named.push_back(*index);
+        }
+      }
+    }
+    std::sort(named.begin(), named.end());
+    named.erase(std::unique(named.begin(), named.end()), named.end());
+  }
+  const auto slot = [&](size_t index) -> size_t {
+    return enumerable ? index
+                      : static_cast<size_t>(std::lower_bound(named.begin(), named.end(), index) -
+                                            named.begin());
+  };
+  constexpr size_t kNoOwner = SIZE_MAX;
+  std::vector<size_t> owner(enumerable ? n_profiled : named.size(), kNoOwner);
   std::vector<std::string> unknown;
   for (size_t v = 0; v < cp.protected_functions.size(); ++v) {
     for (const std::string& name : cp.protected_functions[v]) {
-      if (ground.find(name) == ground.end()) {
+      const std::optional<size_t> index = workload::ProfiledFunctionIndex(bench, name);
+      if (!index.has_value()) {
         unknown.push_back(name + " (" + SubsetLoc(v) + ")");
         continue;
       }
-      const auto [it, inserted] = owner.emplace(name, v);
-      if (!inserted) {
-        report->AddError("coverage/overlap", SubsetLoc(v),
-                         "function '" + name + "' is already protected by " +
-                             SubsetLoc(it->second) +
-                             "; overlapping checks double-pay overhead and break the "
-                             "disjointness claim",
-                         "assign every function to exactly one variant");
+      size_t& first = owner[slot(*index)];
+      if (first == kNoOwner) {
+        first = v;
+        continue;
       }
+      report->AddError("coverage/overlap", SubsetLoc(v),
+                       "function '" + name + "' is already protected by " + SubsetLoc(first) +
+                           "; overlapping checks double-pay overhead and break the "
+                           "disjointness claim",
+                       "assign every function to exactly one variant");
     }
   }
   if (!unknown.empty()) {
@@ -185,13 +215,25 @@ void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report
                          NameList(unknown),
                      "partition exactly the profiled functions");
   }
+  if (!enumerable) {
+    report->AddError("coverage/gap", "",
+                     std::to_string(n_profiled - named.size()) + " of " +
+                         std::to_string(n_profiled) +
+                         " profiled function(s) protected by no variant (the subsets name " +
+                         std::to_string(n_named) +
+                         "; too few to enumerate the gap); an attack on them is invisible to "
+                         "every variant",
+                     "the subsets must cover the full profiled function set");
+    return;
+  }
   std::vector<std::string> gaps;
-  for (const std::string& name : ground) {
-    if (owner.find(name) == owner.end()) {
-      gaps.push_back(name);
+  for (size_t i = 0; i < n_profiled; ++i) {
+    if (owner[i] == kNoOwner) {
+      gaps.push_back(workload::ProfiledFunctionName(bench, i));
     }
   }
   if (!gaps.empty()) {
+    std::sort(gaps.begin(), gaps.end());  // name order: "fn10" sorts before "fn2"
     report->AddError("coverage/gap", "",
                      "profiled function(s) protected by no variant: " + NameList(gaps) +
                          "; an attack on them is invisible to every variant",

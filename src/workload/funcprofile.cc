@@ -1,6 +1,9 @@
 #include "src/workload/funcprofile.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <system_error>
 #include <vector>
 
 #include "src/support/rng.h"
@@ -27,6 +30,35 @@ double ResidualFraction(san::SanitizerId id) {
       return 0.0;
   }
   return 0.1;
+}
+
+namespace {
+constexpr std::string_view kFunctionInfix = "::fn";
+}  // namespace
+
+std::string ProfiledFunctionName(const BenchmarkSpec& bench, size_t i) {
+  std::string name = bench.name;
+  name += kFunctionInfix;
+  name += std::to_string(i);
+  return name;
+}
+
+std::optional<size_t> ProfiledFunctionIndex(const BenchmarkSpec& bench, std::string_view name) {
+  const std::string_view prefix = bench.name;
+  if (!name.starts_with(prefix) || !name.substr(prefix.size()).starts_with(kFunctionInfix)) {
+    return std::nullopt;
+  }
+  const std::string_view digits = name.substr(prefix.size() + kFunctionInfix.size());
+  // from_chars takes no sign or whitespace and reports overflow; std::to_string
+  // never pads, so a leading zero is a different name.
+  size_t index = 0;
+  const auto [end, error] = std::from_chars(digits.data(), digits.data() + digits.size(), index);
+  if (error != std::errc() || end != digits.data() + digits.size() ||
+      (digits.size() > 1 && digits.front() == '0') ||
+      index >= std::max<size_t>(1, bench.n_functions)) {
+    return std::nullopt;
+  }
+  return index;
 }
 
 profile::OverheadProfile SynthesizeFunctionProfileWithOverhead(const BenchmarkSpec& bench,
@@ -72,7 +104,7 @@ profile::OverheadProfile SynthesizeFunctionProfileWithOverhead(const BenchmarkSp
   double delta_sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     profile::FunctionOverhead fn;
-    fn.function = bench.name + "::fn" + std::to_string(i);
+    fn.function = ProfiledFunctionName(bench, i);
     fn.baseline_cost = static_cast<uint64_t>(share[i] * baseline_total);
     const double delta = distributable * share[i] * rate[i] / weighted_rate;
     fn.instrumented_cost = fn.baseline_cost + static_cast<uint64_t>(delta);

@@ -11,7 +11,11 @@
 #ifndef BUNSHIN_SRC_WORKLOAD_FUNCPROFILE_H_
 #define BUNSHIN_SRC_WORKLOAD_FUNCPROFILE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
@@ -22,6 +26,16 @@ namespace workload {
 
 // Fraction of a sanitizer's slowdown that cannot be split across variants.
 double ResidualFraction(san::SanitizerId id);
+
+// Name of `bench`'s i-th profiled function: "<bench.name>::fn<i>". The
+// synthesized profile lists functions 0 .. max(1, n_functions) - 1 in order.
+std::string ProfiledFunctionName(const BenchmarkSpec& bench, size_t i);
+
+// Strict inverse of ProfiledFunctionName: the index `name` denotes, or
+// nullopt unless `name` is exactly the "<bench.name>::fn" prefix followed by
+// a canonical decimal (no sign, no leading zero, no overflow) below
+// max(1, n_functions). Accepts exactly the names of the synthesized profile.
+std::optional<size_t> ProfiledFunctionIndex(const BenchmarkSpec& bench, std::string_view name);
 
 // Builds the per-function profile of `bench` instrumented with `sanitizer`.
 // Deterministic in (bench.name, seed).

@@ -9,7 +9,11 @@
 // executor's plan cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,8 +30,11 @@
 #include "src/net/wire.h"
 #include "src/nxe/engine.h"
 #include "src/nxe/trace.h"
+#include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
+#include "src/support/rng.h"
 #include "src/syscall/syscall.h"
+#include "src/workload/funcprofile.h"
 #include "src/workload/tracegen.h"
 #include "src/workload/workload.h"
 #include "tests/testutil.h"
@@ -373,6 +380,272 @@ TEST(PlanAnalyzerTest, FlagsCoverageOverlapAndUnknownFunction) {
   EXPECT_FALSE(report.coverage_complete());
 }
 
+// ---------------------------------------------------------------------------
+// coverage/* for check distribution, held against the string-set rule that
+// the index-based rule replaced.
+// ---------------------------------------------------------------------------
+
+// The check-distribution coverage rule as it was before it checked by
+// function index: re-synthesize the planner's profile, load its names into a
+// set, and look every protected name up in it. For a planner-built plan whose
+// only defects were put into its subsets or its n_functions, this is the
+// whole report AnalyzePlan must give.
+AnalysisReport OracleCoverageReport(const VariantPlan& plan) {
+  const auto subset_loc = [](size_t v) { return "subset " + std::to_string(v); };
+  const auto name_list = [](const std::vector<std::string>& names) {
+    std::string out;
+    const size_t shown = std::min<size_t>(names.size(), 8);
+    for (size_t i = 0; i < shown; ++i) {
+      out += (i == 0 ? "" : ", ") + names[i];
+    }
+    if (names.size() > shown) {
+      out += " ... and " + std::to_string(names.size() - shown) + " more";
+    }
+    return out;
+  };
+  const profile::OverheadProfile profile =
+      workload::SynthesizeFunctionProfile(*plan.benchmark, plan.check_sanitizer, plan.seed);
+  std::set<std::string> ground;
+  for (const profile::FunctionOverhead& fn : profile.functions) {
+    ground.insert(fn.function);
+  }
+  AnalysisReport report;
+  std::map<std::string, size_t> owner;
+  std::vector<std::string> unknown;
+  const auto& subsets = plan.check_plan->protected_functions;
+  for (size_t v = 0; v < subsets.size(); ++v) {
+    for (const std::string& name : subsets[v]) {
+      if (ground.count(name) == 0) {
+        unknown.push_back(name + " (" + subset_loc(v) + ")");
+        continue;
+      }
+      const auto [it, inserted] = owner.emplace(name, v);
+      if (!inserted) {
+        report.AddError("coverage/overlap", subset_loc(v),
+                        "function '" + name + "' is already protected by " +
+                            subset_loc(it->second) +
+                            "; overlapping checks double-pay overhead and break the "
+                            "disjointness claim",
+                        "assign every function to exactly one variant");
+      }
+    }
+  }
+  if (!unknown.empty()) {
+    report.AddError("coverage/unknown-function", "",
+                    "subset(s) protect function(s) absent from the profiled set: " +
+                        name_list(unknown),
+                    "partition exactly the profiled functions");
+  }
+  std::vector<std::string> gaps;
+  for (const std::string& name : ground) {
+    if (owner.count(name) == 0) {
+      gaps.push_back(name);
+    }
+  }
+  if (!gaps.empty()) {
+    report.AddError("coverage/gap", "",
+                    "profiled function(s) protected by no variant: " + name_list(gaps) +
+                        "; an attack on them is invisible to every variant",
+                    "the subsets must cover the full profiled function set");
+  }
+  return report;
+}
+
+VariantPlan CheckPlanFor(const char* benchmark, size_t n) {
+  NvxBuilder b;
+  b.Benchmark(*workload::FindBenchmark(benchmark))
+      .Variants(n)
+      .DistributeChecks(san::SanitizerId::kASan)
+      .Seed(5);
+  return PlanOrDie(b);
+}
+
+// Names on the edge of the "<bench>::fn<index>" scheme: each must be judged
+// exactly as the string-set lookup judges it.
+std::vector<std::string> EdgeNames(const workload::BenchmarkSpec& bench) {
+  const std::string prefix = bench.name + "::fn";
+  const std::string other = bench.name == "mcf" ? "perlbench::fn1" : "mcf::fn1";
+  return {prefix + "007",
+          prefix + "00",
+          prefix + "+1",
+          prefix + "-1",
+          prefix,
+          prefix + "123456789012345678901234567890",
+          prefix + "18446744073709551615",  // SIZE_MAX
+          prefix + "18446744073709551616",  // SIZE_MAX + 1: wraps to 0 unchecked
+          prefix + std::to_string(bench.n_functions),
+          prefix + std::to_string(std::max<size_t>(1, bench.n_functions) - 1),
+          other,
+          bench.name + "::f1",
+          "fn1",
+          prefix + "1 ",
+          " " + prefix + "1",
+          prefix + std::string("1\0", 2),
+          prefix + std::string("1\0" "2", 3),
+          std::string(1, '\0') + prefix + "1"};
+}
+
+// One seeded defect in a check plan: a dropped, duplicated or moved name, an
+// emptied subset, an edge-case name, or a different n_functions.
+void MutateCheckPlan(Rng& rng, VariantPlan* plan) {
+  auto& subsets = plan->check_plan->protected_functions;
+  std::vector<std::string>& from = subsets[rng.NextBounded(subsets.size())];
+  std::vector<std::string>& to = subsets[rng.NextBounded(subsets.size())];
+  const size_t at = from.empty() ? 0 : rng.NextBounded(from.size());
+  switch (rng.NextBounded(6)) {
+    case 0:  // dropped
+      if (!from.empty()) {
+        from.erase(from.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      break;
+    case 1:  // duplicated, possibly within its own subset
+      if (!from.empty()) {
+        to.push_back(from[at]);
+      }
+      break;
+    case 2:  // moved: still a partition unless another mutation breaks it
+      if (!from.empty() && &from != &to) {
+        to.push_back(from[at]);
+        from.erase(from.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      break;
+    case 3:
+      from.clear();
+      break;
+    case 4: {
+      const std::vector<std::string> names = EdgeNames(*plan->benchmark);
+      to.push_back(names[rng.NextBounded(names.size())]);
+      break;
+    }
+    default: {
+      const size_t n = plan->benchmark->n_functions;
+      const size_t choices[] = {0, 1, n > 1 ? n - 1 : 2, n + 1};
+      plan->benchmark->n_functions = choices[rng.NextBounded(4)];
+      break;
+    }
+  }
+}
+
+TEST(PlanAnalyzerTest, IndexCoverageMatchesStringSetOracleOverSeededMutations) {
+  struct Target {
+    const char* benchmark;
+    size_t variants;
+  };
+  for (const Target& target : {Target{"mcf", 4}, Target{"perlbench", 8}}) {
+    const VariantPlan base = CheckPlanFor(target.benchmark, target.variants);
+    ASSERT_EQ(AnalyzePlan(base).Render(), "") << target.benchmark;
+    size_t clean = 0;
+    size_t overlap = 0;
+    size_t unknown = 0;
+    size_t gap = 0;
+    for (uint64_t seed = 0; seed < 150; ++seed) {
+      Rng rng(seed);
+      VariantPlan plan = base;
+      for (uint64_t m = 1 + rng.NextBounded(3); m > 0; --m) {
+        MutateCheckPlan(rng, &plan);
+      }
+      const AnalysisReport oracle = OracleCoverageReport(plan);
+      EXPECT_EQ(AnalyzePlan(plan).Render(), oracle.Render())
+          << target.benchmark << " seed " << seed;
+      clean += oracle.ok() ? 1 : 0;
+      overlap += oracle.HasRule("coverage/overlap") ? 1 : 0;
+      unknown += oracle.HasRule("coverage/unknown-function") ? 1 : 0;
+      gap += oracle.HasRule("coverage/gap") ? 1 : 0;
+    }
+    // The mutator reaches every verdict, so agreement is not vacuous.
+    EXPECT_GT(clean, 0u) << target.benchmark;
+    EXPECT_GT(overlap, 0u) << target.benchmark;
+    EXPECT_GT(unknown, 0u) << target.benchmark;
+    EXPECT_GT(gap, 0u) << target.benchmark;
+  }
+}
+
+TEST(PlanAnalyzerTest, IndexCoverageMatchesOracleOnEveryEdgeName) {
+  for (const char* benchmark : {"mcf", "perlbench"}) {
+    const VariantPlan base = CheckPlanFor(benchmark, 4);
+    for (const std::string& name : EdgeNames(*base.benchmark)) {
+      VariantPlan plan = base;
+      plan.check_plan->protected_functions[1].push_back(name);
+      EXPECT_EQ(AnalyzePlan(plan).Render(), OracleCoverageReport(plan).Render())
+          << benchmark << " name '" << name << "'";
+    }
+  }
+}
+
+TEST(PlanAnalyzerTest, IndexCoverageMatchesOracleAtZeroFunctions) {
+  // n_functions 0 still profiles one function, "<bench>::fn0".
+  VariantPlan plan = CheckPlanFor("mcf", 4);
+  plan.benchmark->n_functions = 0;
+  const AnalysisReport report = AnalyzePlan(plan);
+  EXPECT_EQ(report.Render(), OracleCoverageReport(plan).Render());
+  EXPECT_TRUE(report.HasRule("coverage/unknown-function"));
+  EXPECT_FALSE(report.HasRule("coverage/gap"));  // mcf::fn0 is still protected
+
+  plan.check_plan->protected_functions.assign(plan.specs.size(), {});
+  plan.check_plan->protected_functions[2] = {"mcf::fn0"};
+  EXPECT_EQ(AnalyzePlan(plan).Render(), "");
+  plan.check_plan->protected_functions[2].clear();
+  EXPECT_EQ(AnalyzePlan(plan).Render(), OracleCoverageReport(plan).Render());
+  EXPECT_TRUE(AnalyzePlan(plan).HasRule("coverage/gap"));
+}
+
+TEST(PlanAnalyzerTest, GapListKeepsNameOrder) {
+  VariantPlan plan = CheckPlanFor("mcf", 4);
+  for (auto& subset : plan.check_plan->protected_functions) {
+    std::erase_if(subset, [](const std::string& name) {
+      return name == "mcf::fn2" || name == "mcf::fn10" || name == "mcf::fn31";
+    });
+  }
+  const AnalysisReport report = AnalyzePlan(plan);
+  EXPECT_EQ(report.Render(), OracleCoverageReport(plan).Render());
+  EXPECT_NE(report.Render().find("protected by no variant: mcf::fn10, mcf::fn2, mcf::fn31;"),
+            std::string::npos)
+      << report.Render();
+}
+
+TEST(PlanAnalyzerTest, ImplausibleFunctionCountIsCountedNotEnumerated) {
+  // Six named functions against perlbench's 1800: far past what the subsets
+  // could cover, so the gap is stated as counts. Overlap and unknown-name
+  // diagnostics are unchanged.
+  VariantPlan plan = CheckPlanFor("perlbench", 4);
+  auto& subsets = plan.check_plan->protected_functions;
+  subsets[0].resize(6);
+  for (size_t v = 1; v < subsets.size(); ++v) {
+    subsets[v].clear();
+  }
+  subsets[1].push_back(subsets[0][2]);
+  subsets[1].push_back("perlbench::fn1800");
+  subsets[2].push_back(subsets[0][2]);
+  const AnalysisReport report = AnalyzePlan(plan);
+  const AnalysisReport oracle = OracleCoverageReport(plan);
+  ASSERT_EQ(report.diagnostics().size(), oracle.diagnostics().size()) << report.Render();
+  for (size_t i = 0; i < report.diagnostics().size(); ++i) {
+    const analysis::Diagnostic& got = report.diagnostics()[i];
+    if (got.rule == "coverage/gap") {
+      EXPECT_EQ(oracle.diagnostics()[i].rule, "coverage/gap");
+      EXPECT_NE(got.message.find("1794 of 1800 profiled function(s) protected by no variant "
+                                 "(the subsets name 9;"),
+                std::string::npos)
+          << got.message;
+    } else {
+      EXPECT_EQ(got.ToString(), oracle.diagnostics()[i].ToString());
+    }
+  }
+
+  // A wire plan can claim any count. The rule allocates nothing sized by it
+  // (under ASan a table of 2^40 entries aborts the test) and does not throw.
+  // At these counts perlbench::fn1800 names a real function too.
+  for (const size_t n : {size_t{1} << 40, size_t{1} << 61, SIZE_MAX}) {
+    plan.benchmark->n_functions = n;
+    const AnalysisReport hostile = AnalyzePlan(plan);
+    EXPECT_TRUE(hostile.HasRule("coverage/gap")) << n;
+    EXPECT_TRUE(hostile.HasRule("coverage/overlap")) << n;
+    EXPECT_NE(hostile.Render().find(std::to_string(n - 7) + " of " + std::to_string(n)),
+              std::string::npos)
+        << hostile.Render();
+  }
+}
+
 TEST(PlanAnalyzerTest, FlagsConflictingSanitizerGroup) {
   NvxBuilder b;
   b.Benchmark(*workload::FindBenchmark("bzip2")).Variants(3).Seed(5).DistributeSanitizers(
@@ -605,6 +878,14 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
     m.specs.front().compute_scale = -1.0;
     mutants.emplace_back("compute-scale", std::move(m));
   }
+  // n_functions is one 8-byte field; the analyzer must reject these without
+  // a profile or an owner table of that size (2^61 used to throw
+  // std::length_error, which surfaced as "planner threw").
+  for (const int shift : {40, 61}) {
+    VariantPlan m = base;
+    m.benchmark->n_functions = size_t{1} << shift;
+    mutants.emplace_back("n-functions-2^" + std::to_string(shift), std::move(m));
+  }
 
   net::ExecutorServer server;
   uint64_t expected_rejects = 0;
@@ -613,6 +894,7 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
     EXPECT_FALSE(reply.run_status.ok()) << label;
     EXPECT_NE(reply.run_status.message().find("rejected by static analysis"), std::string::npos)
         << label << ": " << reply.run_status.ToString();
+    EXPECT_EQ(reply.run_status.message().find("planner threw"), std::string::npos) << label;
     ++expected_rejects;
     EXPECT_EQ(server.stats().analysis_rejects, expected_rejects) << label;
     // A rejected plan never occupies a cache slot.

@@ -1,6 +1,11 @@
 // Tests for the overhead profiler (IR path and synthesized path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/profile/profiler.h"
 #include "src/sanitizer/asan_pass.h"
 #include "src/workload/funcprofile.h"
@@ -95,6 +100,51 @@ TEST(SynthesizedProfileTest, DeterministicInSeed) {
   for (size_t i = 0; i < a.functions.size(); ++i) {
     EXPECT_EQ(a.functions[i].instrumented_cost, b.functions[i].instrumented_cost);
   }
+}
+
+TEST(SynthesizedProfileTest, FunctionNamesRoundTripThroughTheirIndex) {
+  std::vector<workload::BenchmarkSpec> catalog = workload::Spec2006();
+  for (const auto* suite : {&workload::Splash2x(), &workload::Parsec()}) {
+    catalog.insert(catalog.end(), suite->begin(), suite->end());
+  }
+  for (const workload::BenchmarkSpec& spec : catalog) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{10}, size_t{11}, spec.n_functions}) {
+      workload::BenchmarkSpec bench = spec;
+      bench.n_functions = n;
+      const auto profile = workload::SynthesizeFunctionProfile(bench, san::SanitizerId::kASan, 1);
+      ASSERT_EQ(profile.functions.size(), std::max<size_t>(1, n)) << bench.name;
+      for (size_t i = 0; i < profile.functions.size(); ++i) {
+        const std::string& name = profile.functions[i].function;
+        EXPECT_EQ(name, workload::ProfiledFunctionName(bench, i)) << bench.name;
+        EXPECT_EQ(workload::ProfiledFunctionIndex(bench, name), std::optional<size_t>(i))
+            << name;
+      }
+      const std::string past_end = workload::ProfiledFunctionName(bench, profile.functions.size());
+      EXPECT_EQ(workload::ProfiledFunctionIndex(bench, past_end), std::nullopt) << past_end;
+    }
+  }
+}
+
+TEST(SynthesizedProfileTest, FunctionIndexRejectsNonCanonicalNames) {
+  workload::BenchmarkSpec bench = *workload::FindBenchmark("mcf");
+  bench.n_functions = 40;
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn0"), std::optional<size_t>(0));
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn39"), std::optional<size_t>(39));
+  for (const std::string& name :
+       {std::string("mcf::fn40"), std::string("mcf::fn007"), std::string("mcf::fn00"),
+        std::string("mcf::fn+1"), std::string("mcf::fn-1"), std::string("mcf::fn"),
+        std::string("mcf::fn1 "), std::string("mcf::f1"), std::string("mcf:fn1"),
+        std::string("bzip2::fn1"), std::string("fn1"), std::string(""),
+        std::string("mcf::fn1\0", 9), std::string("mcf::fn18446744073709551615"),
+        std::string("mcf::fn18446744073709551616"),
+        std::string("mcf::fn123456789012345678901234567890")}) {
+    EXPECT_EQ(workload::ProfiledFunctionIndex(bench, name), std::nullopt) << name;
+  }
+  bench.n_functions = SIZE_MAX;
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn18446744073709551614"),
+            std::optional<size_t>(SIZE_MAX - 1));
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn18446744073709551615"), std::nullopt);
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn18446744073709551616"), std::nullopt);
 }
 
 TEST(SynthesizedProfileTest, ResidualFractionSaneForAllSanitizers) {

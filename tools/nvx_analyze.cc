@@ -18,9 +18,10 @@
 //   nvx_analyze --write-corpus <dir>
 //       Regenerate the committed fixture corpus (corpus/plans/): well-formed
 //       plans for every distribution strategy plus hostile mutants
-//       (coverage gaps/overlaps, conflicting sanitizer groups, out-of-range
-//       injections, deadlock-shaped engine configs). Each fixture is
-//       self-checked against its ok_/bad_ expectation before writing.
+//       (coverage gaps/overlaps, an implausible function count, conflicting
+//       sanitizer groups, out-of-range injections, deadlock-shaped engine
+//       configs). Each fixture is self-checked against its ok_/bad_
+//       expectation before writing.
 //
 //   nvx_analyze --seeded N
 //       Analyze N seeded random engine sessions (the shared corpus generator
@@ -239,6 +240,12 @@ bunshin::StatusOr<std::vector<Fixture>> BuildFixtures() {
     bunshin::api::VariantPlan mutant = ok_check;
     mutant.check_plan->protected_functions[0].push_back("__no_such_function");
     fixtures.push_back({"bad_coverage_unknown.plan", std::move(mutant)});
+  }
+  {  // coverage/gap: a benchmark claiming 2^40 functions that its subsets
+     // cannot name; the analyzer must count the gap, not allocate for it
+    bunshin::api::VariantPlan mutant = ok_check;
+    mutant.benchmark->n_functions = size_t{1} << 40;
+    fixtures.push_back({"bad_function_count.plan", std::move(mutant)});
   }
   {  // coverage/group-conflict: ASan and MSan forced into one variant (§3.1)
     bunshin::api::VariantPlan mutant = ok_san;
