@@ -12,6 +12,7 @@
 
 #include "src/analysis/trace_analyzer.h"
 #include "src/distribution/distribution.h"
+#include "src/nxe/engine.h"
 #include "src/sanitizer/sanitizer.h"
 #include "src/workload/funcprofile.h"
 
@@ -49,6 +50,15 @@ std::optional<san::SanitizerId> SanitizerIdByName(const std::string& name) {
   return std::nullopt;
 }
 
+// Whether the plan's sessions exceed what one engine Run() accepts (the
+// thread count is the trace generator's: the spec's, at least 1).
+bool TooWide(const api::VariantPlan& plan) {
+  const size_t threads = plan.benchmark.has_value() ? plan.benchmark->threads
+                         : plan.server.has_value()  ? plan.server->threads
+                                                    : 1;
+  return plan.specs.size() > nxe::kMaxSessionWidth || threads > nxe::kMaxSessionWidth;
+}
+
 // --- plan/* well-formedness --------------------------------------------------
 
 void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
@@ -79,6 +89,12 @@ void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
     report->AddError("plan/server-distribution", "",
                      "server targets support identical clones only (no distribution)",
                      "use DistributionStrategy::kNone for server targets");
+  }
+  if (TooWide(plan)) {
+    report->AddError("plan/too-wide", "",
+                     "the plan exceeds " + std::to_string(nxe::kMaxSessionWidth) +
+                         " variants or threads per variant; the engine rejects such sessions",
+                     "plan fewer variants, or a target with fewer threads");
   }
   if (plan.requested_variants != 0 && plan.specs.size() > plan.requested_variants) {
     report->AddWarning("plan/requested-variants", "",
@@ -387,9 +403,10 @@ AnalysisReport AnalyzePlan(const api::VariantPlan& plan,
   CheckCoverage(plan, &report);
 
   // Liveness needs the concrete traces; skip when the plan is structurally
-  // unable to build them (the plan/* errors above already reject it).
+  // unable to build them, or too wide to build them at a bounded cost (the
+  // plan/* errors above already reject it).
   const bool one_target = plan.benchmark.has_value() != plan.server.has_value();
-  if (!one_target || plan.specs.empty()) {
+  if (!one_target || plan.specs.empty() || TooWide(plan)) {
     return report;
   }
   std::vector<size_t> members(plan.specs.size());

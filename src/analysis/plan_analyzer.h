@@ -4,7 +4,8 @@
 //
 //   * plan/*      — well-formedness: exactly one target, variants present,
 //                   labels aligned, injections in range, compute scales sane,
-//                   strategy/target consistency, contention width.
+//                   strategy/target consistency, contention width, session
+//                   width within the engine's limit.
 //   * coverage/*  — the §3.2 security claim: under kCheck the distribution
 //                   subsets partition the *recomputed* profiled function set
 //                   exactly (no gap, no overlap, no unknown name); under

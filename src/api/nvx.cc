@@ -1,7 +1,6 @@
 #include "src/api/nvx.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <utility>
 
@@ -41,30 +40,26 @@ StatusOr<double> SpecOverhead(const workload::BenchmarkSpec& bench, san::Sanitiz
 // IrBackend: variants of an ir::Module executed on the interpreter.
 // ---------------------------------------------------------------------------
 
-// The built system is held by shared_ptr so an IrSystemCache can hand one
-// immutable IrNvxSystem (the expensive instrument/profile/partition/slice
-// product) to many sessions; RunDetailed is const and per-run state lives on
-// the interpreter stack, so sharing is thread-safe.
+// RunDetailed is const and per-run state lives on the interpreter stack, so
+// concurrent Run() calls on one backend are thread-safe.
 class IrBackend final : public Backend {
  public:
-  IrBackend(std::shared_ptr<const core::IrNvxSystem> system,
-            std::unique_ptr<ir::Module> baseline, uint64_t fuel, bool has_check_plan,
+  IrBackend(core::IrNvxSystem system, std::unique_ptr<ir::Module> baseline, bool has_check_plan,
             std::vector<std::string> labels)
       : system_(std::move(system)),
         baseline_(std::move(baseline)),
-        fuel_(fuel),
         has_check_plan_(has_check_plan),
         labels_(std::move(labels)) {}
 
   const char* name() const override { return "ir"; }
-  size_t n_variants() const override { return system_->n_variants(); }
+  size_t n_variants() const override { return system_.n_variants(); }
   const std::vector<std::string>& variant_labels() const override { return labels_; }
 
   const distribution::CheckDistributionPlan* check_plan() const override {
-    return has_check_plan_ ? &system_->check_plan() : nullptr;
+    return has_check_plan_ ? &system_.check_plan() : nullptr;
   }
   const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return system_->sanitizer_groups().empty() ? nullptr : &system_->sanitizer_groups();
+    return system_.sanitizer_groups().empty() ? nullptr : &system_.sanitizer_groups();
   }
 
   StatusOr<RunReport> Run(const RunRequest& request) const override {
@@ -74,14 +69,14 @@ class IrBackend final : public Backend {
     // The reference run: the uninstrumented module on the same input.
     {
       ir::Interpreter interp(baseline_.get());
-      interp.set_fuel(fuel_);
+      interp.set_fuel(core::kInterpreterFuel);
       const ir::ExecResult base = interp.Run(request.entry, request.args);
       if (base.outcome == ir::Outcome::kReturned) {
         report.baseline_time = static_cast<double>(base.cost);
       }
     }
 
-    const core::DetailedNvxRun detailed = system_->RunDetailed(request.entry, request.args);
+    const core::DetailedNvxRun detailed = system_.RunDetailed(request.entry, request.args);
 
     report.variant_finish_time.reserve(detailed.runs.size());
     for (const auto& run : detailed.runs) {
@@ -123,9 +118,8 @@ class IrBackend final : public Backend {
   }
 
  private:
-  std::shared_ptr<const core::IrNvxSystem> system_;
+  core::IrNvxSystem system_;
   std::unique_ptr<ir::Module> baseline_;
-  uint64_t fuel_;
   bool has_check_plan_;
   std::vector<std::string> labels_;
 };
@@ -657,11 +651,11 @@ StatusOr<PartialReport> Backend::RunPartial(const RunRequest& request) const {
 StatusOr<RunReport> NvxSession::Run(const RunRequest& request) const {
   StatusOr<RunReport> report = backend_->Run(request);
   if (report.ok()) {
-    if (cache_stats_fn_) {
+    if (plan_cache_ != nullptr) {
       // Stamped above the shard seam: one snapshot per session run, after
       // any Merge, never per shard.
       report->plan_from_cache = plan_from_cache_;
-      report->plan_cache = cache_stats_fn_();
+      report->plan_cache = plan_cache_->stats();
     }
     Notify(*report);
   }
@@ -733,10 +727,6 @@ NvxBuilder& NvxBuilder::InjectDivergence(size_t variant, std::string payload) {
   diverge_injections_.push_back({variant, std::move(payload)});
   return *this;
 }
-NvxBuilder& NvxBuilder::Async(size_t n_workers) {
-  async_workers_ = n_workers;
-  return *this;
-}
 NvxBuilder& NvxBuilder::Shards(size_t k) {
   shards_ = k;
   return *this;
@@ -771,10 +761,6 @@ NvxBuilder& NvxBuilder::RingCapacity(size_t slots) {
   engine_config_.ring_capacity = slots;
   return *this;
 }
-NvxBuilder& NvxBuilder::CacheSensitivity(double sensitivity) {
-  cache_sensitivity_ = sensitivity;
-  return *this;
-}
 NvxBuilder& NvxBuilder::Seed(uint64_t seed) {
   seed_ = seed;
   return *this;
@@ -783,20 +769,12 @@ NvxBuilder& NvxBuilder::MeasureStandalone(bool measure) {
   measure_standalone_ = measure;
   return *this;
 }
-NvxBuilder& NvxBuilder::InterpreterFuel(uint64_t fuel) {
-  interpreter_fuel_ = fuel;
-  return *this;
-}
 NvxBuilder& NvxBuilder::SetObserver(Observer observer) {
   observer_ = std::move(observer);
   return *this;
 }
 NvxBuilder& NvxBuilder::WithPlanCache(std::shared_ptr<PlanCache> cache) {
   plan_cache_ = std::move(cache);
-  return *this;
-}
-NvxBuilder& NvxBuilder::WithIrCache(std::shared_ptr<IrSystemCache> cache) {
-  ir_cache_ = std::move(cache);
   return *this;
 }
 NvxBuilder& NvxBuilder::PooledEngines(bool pooled) {
@@ -827,13 +805,7 @@ Status NvxBuilder::ValidateTarget() const {
   // A cache that can never be consulted is a misconfiguration, not a no-op:
   // the user opted into amortization and would silently re-plan forever.
   if (plan_cache_ != nullptr && module_ != nullptr) {
-    return InvalidArgument(
-        "WithPlanCache() applies to trace targets (Benchmark/Server); module targets use "
-        "WithIrCache()");
-  }
-  if (ir_cache_ != nullptr && module_ == nullptr) {
-    return InvalidArgument(
-        "WithIrCache() applies to Module() targets; trace targets use WithPlanCache()");
+    return InvalidArgument("WithPlanCache() applies to trace targets (Benchmark/Server)");
   }
   if (shards_.has_value()) {
     if (*shards_ == 0) {
@@ -861,39 +833,37 @@ Status NvxBuilder::ValidateTarget() const {
   return Status::Ok();
 }
 
-std::shared_ptr<support::ThreadPool> NvxBuilder::MakePool(bool always) const {
+std::shared_ptr<support::ThreadPool> NvxBuilder::MakePool() const {
   // Remote() is Shards(k) with k defaulting to the fleet size.
   const size_t groups = shards_.value_or(remote_ ? remote_endpoints_.size() : 1);
-  const bool sharded = groups > 1;
-  if (!always && !async_workers_.has_value() && !sharded) {
+  if (groups <= 1) {
     return nullptr;
   }
-  // A shard dispatcher blocks on shard tasks of its own pool, so a sharded
-  // session's pool is clamped to >= 2 workers — even Async(0) on a 1-core
-  // host (CI) must not produce a single-worker pool. The dispatcher also
-  // claims shards itself, so this is throughput insurance, not a deadlock
-  // precondition (see docs/concurrency.md, "Nested dispatch sizing").
+  // A shard dispatcher blocks on shard tasks of its own pool, so the pool is
+  // clamped to >= 2 workers — a 1-core host (CI) must not produce a
+  // single-worker pool. The dispatcher also claims shards itself, so this is
+  // throughput insurance, not a deadlock precondition (see
+  // docs/concurrency.md, "Nested dispatch sizing").
   support::ThreadPool::Options options;
-  options.n_workers = async_workers_.value_or(0);
-  options.min_workers = sharded ? 2 : 1;
+  options.min_workers = 2;
   // kSpread pins workers one per physical core (topology Detect()ed by the
   // pool) so the SubmitTo steering in ShardedBackend maps shards to cores.
-  options.pin_threads = sharded && placement_ == PlacementPolicy::kSpread;
+  options.pin_threads = placement_ == PlacementPolicy::kSpread;
   return std::make_shared<support::ThreadPool>(options);
 }
 
 StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
     const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool,
-    CacheTelemetry* telemetry) const {
+    bool* from_cache) const {
   Status valid = ValidateTarget();
   if (!valid.ok()) {
     return valid;
   }
   if (module_ != nullptr) {
-    return BuildIrBackend(telemetry);
+    return BuildIrBackend();
   }
 
-  StatusOr<std::shared_ptr<const VariantPlan>> resolved = ResolveSharedPlan(telemetry);
+  StatusOr<std::shared_ptr<const VariantPlan>> resolved = ResolveSharedPlan(from_cache);
   if (!resolved.ok()) {
     return resolved.status();
   }
@@ -940,70 +910,51 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
                                                      shard_pool, backend_owns_pool, placement_));
 }
 
+StatusOr<NvxSession> NvxBuilder::BuildSession(
+    const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool) const {
+  bool from_cache = false;
+  StatusOr<std::unique_ptr<Backend>> backend =
+      BuildBackend(shard_pool, backend_owns_pool, &from_cache);
+  if (!backend.ok()) {
+    return backend.status();
+  }
+  NvxSession session(std::move(*backend));
+  session.SetObserver(observer_);
+  if (plan_cache_ != nullptr) {
+    session.SetCacheTelemetry(plan_cache_, from_cache);
+  }
+  return session;
+}
+
 StatusOr<NvxSession> NvxBuilder::Build() const {
   Status valid = ValidateTarget();
   if (!valid.ok()) {
     return valid;
   }
-  // One pool serves both layers: ShardedBackend dispatches shards onto it,
-  // and AsyncBackend offloads whole Run() calls onto it.
-  std::shared_ptr<support::ThreadPool> pool = MakePool(/*always=*/false);
   // Synchronous sessions are never destroyed on a pool worker, so the
-  // sharded backend may co-own the pool (sole owner when Async() is off).
-  CacheTelemetry telemetry;
-  StatusOr<std::unique_ptr<Backend>> backend =
-      BuildBackend(pool, /*backend_owns_pool=*/true, &telemetry);
-  if (!backend.ok()) {
-    return backend.status();
-  }
-
-  if (async_workers_.has_value()) {
-    // Transparent offload: the session behaves synchronously but every Run()
-    // executes on a pool worker. For Submit()-style use, see BuildAsync().
-    backend = std::unique_ptr<Backend>(new AsyncBackend(std::move(*backend), pool));
-  }
-
-  NvxSession session(std::move(*backend));
-  session.SetObserver(observer_);
-  if (telemetry.stats_fn) {
-    session.SetCacheTelemetry(std::move(telemetry.stats_fn), telemetry.from_cache);
-  }
-  return session;
+  // sharded backend may own its shard-dispatch pool.
+  return BuildSession(MakePool(), /*backend_owns_pool=*/true);
 }
 
 StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
     std::shared_ptr<support::ThreadPool> pool) const {
-  Status valid = ValidateTarget();
-  if (!valid.ok()) {
-    return valid;
-  }
   if (pool == nullptr) {
-    pool = MakePool(/*always=*/true);
+    return InvalidArgument("BuildAsync() requires a thread pool");
   }
-  // Note: the raw backend, never AsyncBackend — a Submit()ed run must not
-  // re-submit itself to the same pool it is already executing on. A sharded
-  // backend does share the session pool for its shard dispatch: its
+  // A sharded backend shares the session pool for its shard dispatch: its
   // dispatcher claims shards itself, so even a fully busy pool makes
   // progress (support/thread_pool.h's nested-dispatch rule). The backend
   // must NOT own the pool here: in-flight submissions can release the last
   // session reference from a pool worker, and a ThreadPool must never be
   // destroyed on its own worker — AsyncNvxSession owns the pool instead.
-  CacheTelemetry telemetry;
-  StatusOr<std::unique_ptr<Backend>> backend =
-      BuildBackend(pool, /*backend_owns_pool=*/false, &telemetry);
-  if (!backend.ok()) {
-    return backend.status();
+  StatusOr<NvxSession> session = BuildSession(pool, /*backend_owns_pool=*/false);
+  if (!session.ok()) {
+    return session.status();
   }
-
-  NvxSession session(std::move(*backend));
-  session.SetObserver(observer_);
-  if (telemetry.stats_fn) {
-    session.SetCacheTelemetry(std::move(telemetry.stats_fn), telemetry.from_cache);
-  }
-  return AsyncNvxSession(std::move(session), std::move(pool));
+  return AsyncNvxSession(std::move(*session), std::move(pool));
 }
 
-StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* telemetry) const {
+StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend() const {
   if (!detect_injections_.empty()) {
     return InvalidArgument(
         "InjectDetection() needs a trace target; IR detections come from the program itself");
@@ -1027,54 +978,25 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
     return InvalidArgument("Module() failed IR verification: " + module_ok.message());
   }
 
-  // The expensive half: instrument + profile + partition + slice. Runs once
-  // per IrCacheKey() when an IrSystemCache is attached.
-  auto build_system = [this]() -> StatusOr<std::shared_ptr<const core::IrNvxSystem>> {
-    core::Options options;
-    options.n_variants = n_variants_;
-    options.partition = partition_options_;
-    options.interpreter_fuel = interpreter_fuel_;
+  // The expensive half: instrument + profile + partition + slice.
+  core::Options options;
+  options.n_variants = n_variants_;
+  options.partition = partition_options_;
 
-    StatusOr<core::IrNvxSystem> system = InvalidArgument("unreachable");
-    switch (strategy_) {
-      case DistributionStrategy::kNone:
-        return InvalidArgument("unreachable: rejected above");
-      case DistributionStrategy::kCheck:
-        system = core::IrNvxSystem::CreateCheckDistributed(*module_, check_sanitizer_,
-                                                           profiling_workload_, options);
-        break;
-      case DistributionStrategy::kSanitizer:
-        system = core::IrNvxSystem::CreateSanitizerDistributed(*module_, sanitizers_, options);
-        break;
-      case DistributionStrategy::kUbsanSub:
-        system = core::IrNvxSystem::CreateUbsanDistributed(*module_, options);
-        break;
-    }
-    if (!system.ok()) {
-      return system.status();
-    }
-    return std::shared_ptr<const core::IrNvxSystem>(
-        std::make_shared<const core::IrNvxSystem>(std::move(*system)));
-  };
-
-  StatusOr<std::shared_ptr<const core::IrNvxSystem>> system = InvalidArgument("unreachable");
-  if (ir_cache_ != nullptr) {
-    StatusOr<std::string> key = IrCacheKey();
-    if (!key.ok()) {
-      return key.status();
-    }
-    bool hit = false;
-    system = ir_cache_->GetOrBuild(*key, build_system, &hit);
-    if (observer_.on_plan_cache) {
-      observer_.on_plan_cache(*key, hit);
-    }
-    if (telemetry != nullptr) {
-      telemetry->from_cache = hit;
-      std::shared_ptr<IrSystemCache> cache = ir_cache_;
-      telemetry->stats_fn = [cache] { return cache->stats(); };
-    }
-  } else {
-    system = build_system();
+  StatusOr<core::IrNvxSystem> system = InvalidArgument("unreachable");
+  switch (strategy_) {
+    case DistributionStrategy::kNone:
+      return InvalidArgument("unreachable: rejected above");
+    case DistributionStrategy::kCheck:
+      system = core::IrNvxSystem::CreateCheckDistributed(*module_, check_sanitizer_,
+                                                         profiling_workload_, options);
+      break;
+    case DistributionStrategy::kSanitizer:
+      system = core::IrNvxSystem::CreateSanitizerDistributed(*module_, sanitizers_, options);
+      break;
+    case DistributionStrategy::kUbsanSub:
+      system = core::IrNvxSystem::CreateUbsanDistributed(*module_, options);
+      break;
   }
   if (!system.ok()) {
     return system.status();
@@ -1086,11 +1008,11 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
     // maintenance everywhere (the §3.2 claim the slicer could break).
     analysis::AnalysisReport report;
     std::vector<const ir::Module*> variant_modules;
-    variant_modules.reserve((*system)->n_variants());
-    for (size_t v = 0; v < (*system)->n_variants(); ++v) {
-      variant_modules.push_back(&(*system)->variant(v));
+    variant_modules.reserve(system->n_variants());
+    for (size_t v = 0; v < system->n_variants(); ++v) {
+      variant_modules.push_back(&system->variant(v));
     }
-    analysis::AnalyzeCheckDistribution(*module_, check_sanitizer_, (*system)->check_plan(),
+    analysis::AnalyzeCheckDistribution(*module_, check_sanitizer_, system->check_plan(),
                                        variant_modules, &report);
     Status analyzed = report.ToStatus("IR analysis");
     if (!analyzed.ok()) {
@@ -1100,9 +1022,9 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
 
   const bool has_check_plan = strategy_ == DistributionStrategy::kCheck;
   std::vector<std::string> labels;
-  for (size_t v = 0; v < (*system)->n_variants(); ++v) {
-    if (!(*system)->sanitizer_groups().empty()) {
-      labels.push_back(JoinNames((*system)->sanitizer_groups()[v]));
+  for (size_t v = 0; v < system->n_variants(); ++v) {
+    if (!system->sanitizer_groups().empty()) {
+      labels.push_back(JoinNames(system->sanitizer_groups()[v]));
     } else {
       labels.push_back(std::string(san::SanitizerName(check_sanitizer_)) + "-checks/v" +
                        std::to_string(v));
@@ -1110,8 +1032,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
   }
 
   return std::unique_ptr<Backend>(new IrBackend(std::move(*system), module_->Clone(),
-                                                interpreter_fuel_, has_check_plan,
-                                                std::move(labels)));
+                                                has_check_plan, std::move(labels)));
 }
 
 // The planning inputs as a plan with no strategy output: enough for
@@ -1128,8 +1049,8 @@ VariantPlan NvxBuilder::SkeletonPlan() const {
   plan.sanitizers = sanitizers_;
   plan.partition_options = partition_options_;
   plan.engine_config = engine_config_;
-  plan.engine_config.cache_sensitivity = cache_sensitivity_.value_or(
-      benchmark_.has_value() ? benchmark_->cache_sensitivity : 1.0);
+  plan.engine_config.cache_sensitivity =
+      benchmark_.has_value() ? benchmark_->cache_sensitivity : 1.0;
   return plan;
 }
 
@@ -1139,9 +1060,7 @@ StatusOr<std::string> NvxBuilder::PlanCacheKey() const {
     return valid;
   }
   if (module_ != nullptr) {
-    return InvalidArgument(
-        "PlanCacheKey() requires a trace target (Benchmark/Server); module targets use "
-        "IrCacheKey()");
+    return InvalidArgument("PlanCacheKey() requires a trace target (Benchmark/Server)");
   }
   if (server_.has_value() && strategy_ != DistributionStrategy::kNone) {
     return InvalidArgument("server targets support identical clones only (no distribution)");
@@ -1149,45 +1068,6 @@ StatusOr<std::string> NvxBuilder::PlanCacheKey() const {
   // The skeleton's key IS the base plan's key: CacheKey() reads planning
   // inputs only, never the derived specs (planning is deterministic).
   return SkeletonPlan().CacheKey();
-}
-
-StatusOr<std::string> NvxBuilder::IrCacheKey() const {
-  if (module_ == nullptr) {
-    return InvalidArgument("IrCacheKey() requires a Module() target");
-  }
-  if (strategy_ == DistributionStrategy::kNone) {
-    return InvalidArgument(
-        "a module target needs a distribution strategy before it has a cache identity");
-  }
-  char hash[32];
-  std::snprintf(hash, sizeof(hash), "%016llx",
-                static_cast<unsigned long long>(core::StructuralHash(*module_)));
-  std::string key = "ir:";
-  key += hash;
-  key += "|";
-  key += DistributionStrategyName(strategy_);
-  key += "|n=" + std::to_string(n_variants_);
-  key += "|fuel=" + std::to_string(interpreter_fuel_);
-  AppendPartitionOptionsKey(&key, partition_options_);
-  if (strategy_ == DistributionStrategy::kCheck) {
-    key += "|san=";
-    key += san::SanitizerName(check_sanitizer_);
-    // The profiling workload drives the overhead profile and therefore the
-    // check partition: every run's entry and arguments are part of the key.
-    key += "|prof=" + std::to_string(profiling_workload_.size());
-    for (const auto& run : profiling_workload_) {
-      key += "|";
-      AppendCacheKeyComponent(&key, run.entry);
-      key += "(";
-      for (int64_t arg : run.args) {
-        key += std::to_string(arg) + ",";
-      }
-      key += ")";
-    }
-  } else if (strategy_ == DistributionStrategy::kSanitizer) {
-    AppendSanitizerListKey(&key, sanitizers_);
-  }
-  return key;
 }
 
 Status NvxBuilder::ValidateInjections(size_t n_specs) const {
@@ -1235,7 +1115,7 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::OverlayInjections(
 }
 
 StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
-    CacheTelemetry* telemetry) const {
+    bool* from_cache) const {
   if (plan_cache_ != nullptr) {
     StatusOr<std::string> key = PlanCacheKey();
     if (!key.ok()) {
@@ -1247,10 +1127,8 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
     if (observer_.on_plan_cache) {
       observer_.on_plan_cache(*key, hit);
     }
-    if (telemetry != nullptr) {
-      telemetry->from_cache = hit;
-      std::shared_ptr<PlanCache> cache = plan_cache_;
-      telemetry->stats_fn = [cache] { return cache->stats(); };
+    if (from_cache != nullptr) {
+      *from_cache = hit;
     }
     if (!base.ok()) {
       return base.status();

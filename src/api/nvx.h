@@ -128,9 +128,9 @@ struct RunReport {
   uint64_t max_syscall_gap = 0;
 
   // Plan-cache telemetry, stamped by the session (not the backend) on every
-  // run of a session built through WithPlanCache()/WithIrCache():
-  // plan_from_cache says whether this session's Build() reused a cached
-  // plan/system, and plan_cache snapshots the store's counters at run time.
+  // run of a session built through WithPlanCache(): plan_from_cache says
+  // whether this session's Build() reused a cached plan, and plan_cache
+  // snapshots the store's counters at run time.
   // Absent (false/nullopt) on uncached sessions; Merge leaves both alone
   // because stamping happens above the shard seam.
   bool plan_from_cache = false;
@@ -183,9 +183,9 @@ struct Observer {
   std::function<void(size_t variant, double finish_time)> on_variant_finish;
   std::function<void(const RunReport& report)> on_incident;
   // Build-time hook, outside the run sequencing above: fired once per
-  // Build()/BuildAsync()/PlanVariants() that consulted a plan or IR-system
-  // cache, with the cache key and whether it hit. Called on the building
-  // thread, before the session exists — not under the delivery lock.
+  // Build()/BuildAsync()/PlanVariants() that consulted the plan cache, with
+  // the cache key and whether it hit. Called on the building thread, before
+  // the session exists — not under the delivery lock.
   std::function<void(const std::string& key, bool hit)> on_plan_cache;
 };
 
@@ -292,10 +292,10 @@ class NvxSession {
   }
 
   // Installed by NvxBuilder when the session's plan came through a cache:
-  // every report gets plan_from_cache plus a fresh stats snapshot from
-  // `stats_fn` (type-erased so the session is cache-type agnostic).
-  void SetCacheTelemetry(std::function<PlanCacheStats()> stats_fn, bool from_cache) {
-    cache_stats_fn_ = std::move(stats_fn);
+  // every report gets plan_from_cache plus a fresh snapshot of `cache`'s
+  // stats.
+  void SetCacheTelemetry(std::shared_ptr<const PlanCache> cache, bool from_cache) {
+    plan_cache_ = std::move(cache);
     plan_from_cache_ = from_cache;
   }
 
@@ -318,7 +318,7 @@ class NvxSession {
   // by pointer so the session stays movable).
   std::unique_ptr<std::mutex> observer_mu_;
   // Plan-cache telemetry stamped onto every report (see SetCacheTelemetry).
-  std::function<PlanCacheStats()> cache_stats_fn_;
+  std::shared_ptr<const PlanCache> plan_cache_;
   bool plan_from_cache_ = false;
 };
 
@@ -373,13 +373,11 @@ class NvxBuilder {
   NvxBuilder& Cores(int cores);
   NvxBuilder& BackgroundLoad(double load);
   NvxBuilder& RingCapacity(size_t slots);
-  NvxBuilder& CacheSensitivity(double sensitivity);
   NvxBuilder& Seed(uint64_t seed);
   // Also run each variant standalone (no synchronization) per Run() so the
   // report's variant_standalone_time is filled — N extra simulations; off by
   // default.
   NvxBuilder& MeasureStandalone(bool measure = true);
-  NvxBuilder& InterpreterFuel(uint64_t fuel);
   NvxBuilder& SetObserver(Observer observer);
   // Session batching (trace targets): Build()/PlanVariants() consult `cache`
   // under PlanCacheKey() instead of re-planning. Only the base
@@ -388,22 +386,14 @@ class NvxBuilder {
   // scenarios do not fragment the cache. Sessions built from a cached plan
   // are bit-identical to uncached ones (planning is deterministic).
   NvxBuilder& WithPlanCache(std::shared_ptr<PlanCache> cache);
-  // IR analogue: Build() on a Module() target reuses built IrNvxSystem
-  // state (instrumentation, profiling, partitioning, slicing) keyed by
-  // IrCacheKey(). The module is hashed structurally, so an edited module
-  // never matches a stale entry.
-  NvxBuilder& WithIrCache(std::shared_ptr<IrSystemCache> cache);
-  // Run sessions on a pool of n_workers threads (0 = hardware concurrency).
-  // Build() then returns a session whose Run() executes on a worker, and
-  // BuildAsync() sizes the session's own pool with it.
-  NvxBuilder& Async(size_t n_workers);
   // Fan the session's variants out across k engine shards (trace targets
   // only). Shard 0 carries the baseline/leader slot; followers are dealt
   // round-robin; every shard replicates the leader for synchronization.
   // Each Run() dispatches the shards onto a thread pool and merges their
-  // PartialReports (RunReport::Merge). Composes with Async(n): both layers
-  // share one pool, sized by n and clamped to >= 2 workers so the shard
-  // dispatcher can never starve its own shards (see support/thread_pool.h).
+  // PartialReports (RunReport::Merge). A synchronous Build() gives the
+  // session its own pool of >= 2 workers so the shard dispatcher can never
+  // starve its own shards (see support/thread_pool.h); BuildAsync(pool)
+  // dispatches shards onto the caller's pool.
   NvxBuilder& Shards(size_t k);
   // Topology-aware shard placement (with Shards(k)): kSpread pins the shard
   // pool's workers one per physical core and steers shard i to worker i.
@@ -411,13 +401,13 @@ class NvxBuilder {
   NvxBuilder& Placement(PlacementPolicy policy);
   // Fan the session's shard groups out across executor daemons instead of
   // in-process engine shards (trace targets only): Shards(k) with remote
-  // shards, so it composes with Async(n), BuildAsync() and Placement() the
-  // same way. Shards(k) sets the group count, default k = number of
-  // endpoints. Each Run() ships
-  // the plan (by wire CacheKey, so executors cache decoded plans) plus each
-  // group's member list to an executor chosen by CacheKey affinity, with
-  // per-request timeout and bounded retry to a different executor. Merged
-  // reports are bit-identical to Shards(k) and to the unsharded session.
+  // shards, so it composes with BuildAsync() and Placement() the same way.
+  // Shards(k) sets the group count, default k = number of endpoints. Each
+  // Run() ships the plan (by wire CacheKey, so executors cache decoded
+  // plans) plus each group's member list to an executor chosen by CacheKey
+  // affinity, with per-request timeout and bounded retry to a different
+  // executor. Merged reports are bit-identical to Shards(k) and to the
+  // unsharded session.
   NvxBuilder& Remote(std::vector<net::Endpoint> endpoints, net::RemoteOptions options = {});
   // Warm-run engine pooling (trace targets; on by default): the session's
   // trace backends check engine state out of an nxe::EnginePool per run
@@ -444,34 +434,27 @@ class NvxBuilder {
   // (injection-free) plan's CacheKey(), computed from the builder's
   // configuration without planning. Trace targets only.
   StatusOr<std::string> PlanCacheKey() const;
-  // The IrSystemCache key for a Module() target: the module's structural
-  // hash plus everything that shapes variant construction (strategy and its
-  // parameters, n, partition options, profiling workload, fuel).
-  StatusOr<std::string> IrCacheKey() const;
 
   // Async variant of Build(): a session exposing Submit() -> RunHandle plus
-  // completion-queue delivery (src/api/async.h). Pass a shared pool to run
-  // many sessions' work on one set of workers; with no pool the session
-  // creates its own, sized by Async(n).
-  StatusOr<AsyncNvxSession> BuildAsync(
-      std::shared_ptr<support::ThreadPool> pool = nullptr) const;
+  // completion-queue delivery (src/api/async.h), running on `pool` — share
+  // one pool to run many sessions' work on one set of workers. A null pool
+  // is an InvalidArgument.
+  StatusOr<AsyncNvxSession> BuildAsync(std::shared_ptr<support::ThreadPool> pool) const;
 
  private:
-  // How Build() resolved the session's plan/system: filled by the backend
-  // builders, consumed by Build()/BuildAsync() to stamp session telemetry.
-  struct CacheTelemetry {
-    bool from_cache = false;
-    std::function<PlanCacheStats()> stats_fn;  // null when no cache consulted
-  };
-
-  StatusOr<std::unique_ptr<Backend>> BuildIrBackend(CacheTelemetry* telemetry) const;
+  StatusOr<std::unique_ptr<Backend>> BuildIrBackend() const;
   // Validation + backend construction shared by Build()/BuildAsync(). When
   // sharding is enabled the sharded backend dispatches onto `shard_pool`;
   // `backend_owns_pool` must be false when the backend may be destroyed on
   // a pool worker (the AsyncNvxSession composition — see shard.h).
+  // `from_cache` reports whether the plan cache served the plan.
   StatusOr<std::unique_ptr<Backend>> BuildBackend(
       const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool,
-      CacheTelemetry* telemetry) const;
+      bool* from_cache) const;
+  // BuildBackend() wrapped in a session, with the observer and plan-cache
+  // telemetry installed.
+  StatusOr<NvxSession> BuildSession(const std::shared_ptr<support::ThreadPool>& shard_pool,
+                                    bool backend_owns_pool) const;
   // The planning inputs as a VariantPlan with no strategy output: what
   // PlanCacheKey() hashes and PlanBase() starts from.
   VariantPlan SkeletonPlan() const;
@@ -480,14 +463,14 @@ class NvxBuilder {
   Status ValidateInjections(size_t n_specs) const;
   // The shared plan a trace backend consumes: through the cache (base plan +
   // injection overlay) when WithPlanCache() is set, fresh otherwise.
-  StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(CacheTelemetry* telemetry) const;
+  // `from_cache`, when non-null, reports whether the cache served the plan.
+  StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(bool* from_cache) const;
   StatusOr<std::shared_ptr<const VariantPlan>> OverlayInjections(
       std::shared_ptr<const VariantPlan> base) const;
-  // The pool shared by AsyncBackend and ShardedBackend — the single home of
-  // the sizing rule (Async(n) workers, clamped to >= 2 when sharding).
-  // Returns null when neither layer is enabled, unless `always` (BuildAsync
-  // needs a pool regardless).
-  std::shared_ptr<support::ThreadPool> MakePool(bool always) const;
+  // The shard-dispatch pool of a synchronous sharded or Remote() Build()
+  // (>= 2 workers, so the dispatcher can never starve its own shards); null
+  // when the session has a single shard group.
+  std::shared_ptr<support::ThreadPool> MakePool() const;
   // Common validation for Build()/PlanVariants().
   Status ValidateTarget() const;
 
@@ -505,19 +488,15 @@ class NvxBuilder {
   std::vector<DivergeInjection> diverge_injections_;
 
   nxe::EngineConfig engine_config_;
-  std::optional<double> cache_sensitivity_;
   bool measure_standalone_ = false;
   uint64_t seed_ = 42;
-  uint64_t interpreter_fuel_ = 50'000'000;
-  std::optional<size_t> async_workers_;  // set by Async(); 0 = hw concurrency
-  std::optional<size_t> shards_;         // set by Shards()
+  std::optional<size_t> shards_;  // set by Shards()
   PlacementPolicy placement_ = PlacementPolicy::kNone;
   std::vector<net::Endpoint> remote_endpoints_;  // set by Remote()
   net::RemoteOptions remote_options_;
   bool remote_ = false;
   Observer observer_;
   std::shared_ptr<PlanCache> plan_cache_;
-  std::shared_ptr<IrSystemCache> ir_cache_;
   bool pooled_engines_ = true;
   std::shared_ptr<nxe::EnginePool> engine_pool_;  // set by WithEnginePool()
 };

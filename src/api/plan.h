@@ -152,8 +152,7 @@ Status BuildPlanTraces(const VariantPlan& plan, const workload::TraceTemplate& t
 // hold only the replica are dropped.
 std::vector<std::vector<size_t>> ShardMemberGroups(size_t n_variants, size_t k);
 
-// Key-building helpers shared by VariantPlan::CacheKey() and the IR-module
-// cache key (NvxBuilder::IrCacheKey). Exposed for tests.
+// Key-building helpers of VariantPlan::CacheKey(). Exposed for tests.
 //
 // to_string's fixed 6-decimal formatting aliased distinct doubles (any
 // sub-1e-6 delta, e.g. noise_rel_sigma 1e-7 vs 2e-7 both printed
@@ -162,10 +161,6 @@ std::string CacheKeyDouble(double value);
 // Appends `component` length-prefixed ("<len>:<bytes>") so a free-form name
 // containing the key's separators cannot alias across field boundaries.
 void AppendCacheKeyComponent(std::string* key, const std::string& component);
-// Strategy-parameter fragments encoded identically in both keys (one
-// encoding, so the trace and IR keys cannot drift apart field-by-field).
-void AppendPartitionOptionsKey(std::string* key, const partition::PartitionOptions& options);
-void AppendSanitizerListKey(std::string* key, const std::vector<san::SanitizerId>& sanitizers);
 
 }  // namespace api
 }  // namespace bunshin

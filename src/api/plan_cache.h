@@ -31,11 +31,6 @@
 //   * Capacity-bounded LRU with hit/miss/coalesced/eviction counters,
 //     surfaced per-run through RunReport::plan_cache and per-build through
 //     Observer::on_plan_cache.
-//
-// IrSystemCache is the IR analogue: built core::IrNvxSystem state (variant
-// construction = instrument + profile + partition + slice) keyed by the
-// module's structural hash plus the strategy configuration
-// (NvxBuilder::IrCacheKey(), core::StructuralHash).
 #ifndef BUNSHIN_SRC_API_PLAN_CACHE_H_
 #define BUNSHIN_SRC_API_PLAN_CACHE_H_
 
@@ -49,16 +44,11 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/api/plan.h"
 #include "src/support/status.h"
 
 namespace bunshin {
-namespace core {
-class IrNvxSystem;
-}  // namespace core
-
 namespace api {
 
 // A consistent snapshot of one cache's counters.
@@ -72,130 +62,60 @@ struct PlanCacheStats {
   size_t capacity = 0;
 };
 
-namespace internal {
-
-// Type-erased core shared by PlanCache and IrSystemCache: a thread-safe,
-// capacity-bounded LRU of shared_ptr<const void> with single-flight
-// coalescing of concurrent misses on one key.
-//
-// The store is lock-striped into N segments keyed by the key's hash; each
-// segment is an independent LRU (own mutex, own recency list, own slice of
-// the capacity), so concurrent lookups of different keys only collide when
-// they hash to the same segment. Eviction is therefore per-segment, not
-// globally least-recently-used — the capacity bound and the single-flight
-// guarantee are unchanged, and n_segments=1 restores the exact global-LRU
-// behavior. Counters are relaxed per-segment atomics rolled up by stats(),
-// so telemetry reads never take any segment lock.
-class LruCacheCore {
- public:
-  using ValuePtr = std::shared_ptr<const void>;
-  using Factory = std::function<StatusOr<ValuePtr>()>;
-
-  // n_segments == 0 picks a default from the hardware concurrency (1 on a
-  // single-core host — the legacy strict-LRU behavior). The count is
-  // clamped to [1, capacity] so every segment owns at least one entry.
-  explicit LruCacheCore(size_t capacity, size_t n_segments = 0);
-
-  // Returns the cached value for `key`, or runs `factory` (once, even under
-  // concurrent callers: latecomers block and share the winner's result) and
-  // caches it. Factory errors propagate to every coalesced caller and are
-  // not cached — the next call retries. `was_hit`, when non-null, reports
-  // whether this caller avoided running the factory.
-  StatusOr<ValuePtr> GetOr(const std::string& key, const Factory& factory, bool* was_hit);
-
-  // Peek without a factory; counts as a hit or miss. Null when absent.
-  ValuePtr Lookup(const std::string& key);
-  // Inserts/overwrites, marking `key` most recently used.
-  void Insert(const std::string& key, ValuePtr value);
-  void Clear();
-  // Lock-free roll-up of the per-segment counters. Each counter is itself
-  // exact; the snapshot across counters is only consistent when quiescent.
-  PlanCacheStats stats() const;
-
-  size_t n_segments() const { return segments_.size(); }
-
- private:
-  struct InFlight {
-    bool done = false;
-    StatusOr<ValuePtr> result{Status(StatusCode::kInternal, "planning in flight")};
-  };
-
-  // One lock-striped LRU shard. alignas keeps one segment's hot mutex off
-  // its neighbors' cache lines in the segment array.
-  struct alignas(64) Segment {
-    mutable std::mutex mu;
-    std::condition_variable done_cv;  // signals InFlight completion
-    size_t capacity = 1;
-    // Front = most recently used; index points into the list.
-    std::list<std::pair<std::string, ValuePtr>> lru;
-    std::unordered_map<std::string, std::list<std::pair<std::string, ValuePtr>>::iterator> index;
-    std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight;
-    // Relaxed: counters are monotonic telemetry, not synchronization.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> coalesced{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<size_t> entries{0};  // mirrors lru.size() for lock-free stats()
-  };
-
-  Segment& SegmentFor(const std::string& key);
-  // Both require segment.mu held.
-  static void InsertLocked(Segment& segment, const std::string& key, ValuePtr value);
-  static ValuePtr LookupLocked(Segment& segment, const std::string& key);
-
-  const size_t capacity_;
-  std::vector<std::unique_ptr<Segment>> segments_;
-};
-
-}  // namespace internal
-
-// The trace-target plan store (see the header comment for usage).
+// The trace-target plan store (see the header comment for usage): one mutex
+// guards the LRU list, its index and the in-flight planner set; planning
+// itself runs outside the lock.
 class PlanCache {
  public:
   // Capacity is clamped to >= 1. 128 keys a sizable fleet: one entry per
   // distinct (target, strategy, n, seed, engine-config) combination, NOT per
-  // attack scenario — injections overlay a shared base entry. n_segments
-  // stripes the store (see internal::LruCacheCore); 0 = auto, 1 = strict
-  // global LRU.
-  explicit PlanCache(size_t capacity = 128, size_t n_segments = 0);
+  // attack scenario — injections overlay a shared base entry.
+  explicit PlanCache(size_t capacity = 128);
 
   using Factory = std::function<StatusOr<VariantPlan>()>;
 
-  // The builder's entry point: cached plan for `key`, or plan once via
-  // `factory` and cache the result.
+  // The builder's entry point: the cached plan for `key`, or run `factory`
+  // (once, even under concurrent callers: latecomers block and share the
+  // winner's result) and cache the plan. Factory errors — a throwing factory
+  // included — propagate to every coalesced caller and are not cached; the
+  // next call retries. `was_hit`, when non-null, reports whether this caller
+  // was served a plan without running the factory.
   StatusOr<std::shared_ptr<const VariantPlan>> GetOrPlan(const std::string& key,
                                                          const Factory& factory,
                                                          bool* was_hit = nullptr);
 
-  std::shared_ptr<const VariantPlan> Lookup(const std::string& key);
-  void Insert(const std::string& key, std::shared_ptr<const VariantPlan> plan);
   void Clear();
+  // Reads only relaxed atomics, so a telemetry poller never stalls a plan
+  // lookup. Each counter is exact; the snapshot across counters is only
+  // consistent when quiescent.
   PlanCacheStats stats() const;
 
  private:
-  internal::LruCacheCore core_;
-};
+  using PlanPtr = std::shared_ptr<const VariantPlan>;
+  using LruList = std::list<std::pair<std::string, PlanPtr>>;
 
-// The IR analogue: built IrNvxSystem state keyed by module structural hash +
-// strategy configuration (NvxBuilder::IrCacheKey()). Cached systems are
-// immutable and shared across sessions; IrNvxSystem::RunDetailed is const
-// and safe to call from many sessions at once.
-class IrSystemCache {
- public:
-  explicit IrSystemCache(size_t capacity = 32, size_t n_segments = 0);
+  struct InFlight {
+    bool done = false;
+    StatusOr<PlanPtr> result{Status(StatusCode::kInternal, "planning in flight")};
+  };
 
-  using Factory = std::function<StatusOr<std::shared_ptr<const core::IrNvxSystem>>()>;
+  // Both require mu_ held.
+  PlanPtr LookupLocked(const std::string& key);
+  void InsertLocked(const std::string& key, PlanPtr plan);
 
-  StatusOr<std::shared_ptr<const core::IrNvxSystem>> GetOrBuild(const std::string& key,
-                                                                const Factory& factory,
-                                                                bool* was_hit = nullptr);
-
-  std::shared_ptr<const core::IrNvxSystem> Lookup(const std::string& key);
-  void Clear();
-  PlanCacheStats stats() const;
-
- private:
-  internal::LruCacheCore core_;
+  const size_t capacity_;
+  std::mutex mu_;
+  std::condition_variable done_cv_;  // signals InFlight completion
+  // Front = most recently used; index_ points into the list.
+  LruList lru_;
+  std::unordered_map<std::string, LruList::iterator> index_;
+  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
+  // Relaxed: counters are monotonic telemetry, not synchronization.
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> coalesced_{0};
+  std::atomic<uint64_t> evictions_{0};
+  std::atomic<size_t> entries_{0};  // mirrors lru_.size() for lock-free stats()
 };
 
 }  // namespace api

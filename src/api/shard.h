@@ -12,8 +12,8 @@
 //
 // Dispatch runs over a support::ThreadPool via one CompletionQueue, and the
 // dispatching thread *claims shards itself* while it waits: a sharded run
-// completes even on a fully busy (or absent) pool, so wrapping the backend
-// in AsyncBackend / AsyncNvxSession on the same pool cannot deadlock.
+// completes even on a fully busy (or absent) pool, so running the backend
+// under an AsyncNvxSession on the same pool cannot deadlock.
 //
 // With PlacementPolicy::kSpread each shard is steered to a fixed pool
 // worker (ThreadPool::SubmitTo) — on a pinned pool that means a fixed
@@ -27,8 +27,7 @@
 //                      .Variants(8)
 //                      .DistributeChecks(san::SanitizerId::kASan)
 //                      .Shards(4)          // 4 engine shards, merged reports
-//                      .Async(4)           // optional: share one pool
-//                      .Build();
+//                      .BuildAsync(pool);  // or Build(): a private pool
 #ifndef BUNSHIN_SRC_API_SHARD_H_
 #define BUNSHIN_SRC_API_SHARD_H_
 

@@ -58,12 +58,15 @@ struct DetailedNvxRun {
   std::vector<ir::ExecResult> runs;
 };
 
+// Interpreter fuel per run, unless Options overrides it.
+inline constexpr uint64_t kInterpreterFuel = 50'000'000;
+
 // Knobs for building an N-version system from a module.
 struct Options {
   size_t n_variants = 2;
   partition::PartitionOptions partition;
   // Profiling fuel per run.
-  uint64_t interpreter_fuel = 50'000'000;
+  uint64_t interpreter_fuel = kInterpreterFuel;
 };
 
 class IrNvxSystem {
@@ -106,23 +109,13 @@ class IrNvxSystem {
   std::vector<std::unique_ptr<ir::Module>> variants_;
   distribution::CheckDistributionPlan check_plan_;
   std::vector<std::vector<std::string>> sanitizer_groups_;
-  uint64_t fuel_ = 50'000'000;
+  uint64_t fuel_ = kInterpreterFuel;
 };
 
 // Filters a raw event stream down to the externally observable syscall
 // analogues: sanitizer-internal calls ("__..." helpers) are dropped, exactly
 // like the NXE ignores sanitizer-introduced syscalls.
 std::vector<ir::ExecEvent> FilterObservable(const std::vector<ir::ExecEvent>& events);
-
-// Order-sensitive structural hash of a module: covers function names and
-// arities, block ids/labels, and every instruction field that execution or
-// variant construction can observe (opcode, origin, operands, callee,
-// branch targets, phi incomings). Two structurally identical modules hash
-// equal; any edit the instrumentation or slicing passes could react to
-// changes the hash. This is the trace layer's VariantPlan::CacheKey()
-// analogue — api::IrSystemCache keys built IrNvxSystem state by it so
-// repeated Build()s of one module reuse variant construction.
-uint64_t StructuralHash(const ir::Module& module);
 
 }  // namespace core
 }  // namespace bunshin

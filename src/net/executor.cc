@@ -219,9 +219,11 @@ RunReplyMsg ExecutorServer::HandleRun(const std::string& payload) {
       [&msg, this]() -> StatusOr<api::VariantPlan> {
         StatusOr<api::VariantPlan> decoded = DecodeVariantPlan(msg->plan_bytes);
         if (!decoded.ok()) {
+          decode_errors_.fetch_add(1, std::memory_order_relaxed);
           return decoded.status();
         }
         if (decoded->CacheKey() != msg->cache_key) {
+          decode_errors_.fetch_add(1, std::memory_order_relaxed);
           return InvalidArgument(
               "wire: request cache_key does not match the decoded plan's CacheKey");
         }
@@ -245,7 +247,8 @@ RunReplyMsg ExecutorServer::HandleRun(const std::string& payload) {
     plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   if (!plan.ok()) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    // The factory counted the failure where it happened (decode_errors_ or
+    // analysis_rejects_), so a request is never counted twice.
     reply.run_status = plan.status();
     reply.occupancy = occupancy();
     return reply;

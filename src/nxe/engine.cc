@@ -563,9 +563,9 @@ class EventScheduler {
 
  private:
   // Queue entries carry (v, t) packed into one word — the hot loops never
-  // divide by T_ to recover coordinates. Engine::Run routes sessions with
-  // more than 0xffff variants or threads to RunReference, so the packing
-  // cannot overflow here.
+  // divide by T_ to recover coordinates. Engine::Run rejects sessions with
+  // more than kMaxSessionWidth variants or threads, so the packing cannot
+  // overflow here.
   static uint32_t PackVt(size_t v, size_t t) {
     return static_cast<uint32_t>((v << 16) | t);
   }
@@ -1751,11 +1751,11 @@ StatusOr<SyncReport> Engine::Run(const std::vector<VariantTrace>& variants,
   if (config_.mode == LockstepMode::kSelective && config_.ring_capacity == 0) {
     return InvalidArgument("selective lockstep requires ring_capacity >= 1");
   }
-  if (variants.size() > 0xffff || n_threads > 0xffff) {
-    // The event scheduler packs (v, t) into one 32-bit word; sessions wider
-    // than that (far beyond any real deployment) take the reference path
-    // rather than risk silent index corruption.
-    return RunReference(variants);
+  if (variants.size() > kMaxSessionWidth || n_threads > kMaxSessionWidth) {
+    // The event scheduler packs (v, t) into one 32-bit word; a wider session
+    // (far beyond any real deployment) would corrupt its indices.
+    return InvalidArgument("session wider than " + std::to_string(kMaxSessionWidth) +
+                           " variants or threads per variant");
   }
   if (workspace != nullptr) {
     return RunScheduled(config_, variants, workspace->impl());

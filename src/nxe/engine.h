@@ -174,6 +174,10 @@ class EngineWorkspace {
   std::unique_ptr<Impl> impl_;
 };
 
+// The most variants, and the most threads per variant, one Run() accepts:
+// the event scheduler packs (variant, thread) into one 32-bit word.
+inline constexpr size_t kMaxSessionWidth = 0xffff;
+
 class Engine {
  public:
   explicit Engine(EngineConfig config) : config_(config) {}
@@ -195,7 +199,8 @@ class Engine {
   //
   // With a workspace, scheduler arenas are borrowed from it instead of
   // allocated per run (the warm path); results are bit-identical either way,
-  // enforced by the same suite.
+  // enforced by the same suite. Sessions wider than kMaxSessionWidth
+  // variants or threads are an InvalidArgument.
   StatusOr<SyncReport> Run(const std::vector<VariantTrace>& variants,
                            EngineWorkspace* workspace = nullptr) const;
 

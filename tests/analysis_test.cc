@@ -353,6 +353,27 @@ VariantPlan CheckPlanFixture() {
   return PlanOrDie(b);
 }
 
+// The engine rejects sessions wider than nxe::kMaxSessionWidth variants or
+// threads; the analyzer must say so before any trace of that width is built.
+TEST(PlanAnalyzerTest, FlagsSessionsWiderThanTheEngineAccepts) {
+  VariantPlan wide_threads = CheckPlanFixture();
+  wide_threads.benchmark->threads = nxe::kMaxSessionWidth + 1;
+  AnalysisReport report = AnalyzePlan(wide_threads);
+  EXPECT_TRUE(report.HasRule("plan/too-wide")) << report.Render();
+  EXPECT_FALSE(report.well_formed());
+
+  NvxBuilder b;
+  b.Server(workload::ServerSpec{}).Variants(2).Seed(5);
+  VariantPlan wide_variants = PlanOrDie(b);
+  wide_variants.specs.resize(nxe::kMaxSessionWidth + 1, wide_variants.specs.back());
+  wide_variants.labels.resize(wide_variants.specs.size(), wide_variants.labels.back());
+  report = AnalyzePlan(wide_variants);
+  EXPECT_TRUE(report.HasRule("plan/too-wide")) << report.Render();
+  EXPECT_FALSE(report.well_formed());
+
+  EXPECT_FALSE(AnalyzePlan(CheckPlanFixture()).HasRule("plan/too-wide"));
+}
+
 TEST(PlanAnalyzerTest, FlagsCoverageGap) {
   VariantPlan plan = CheckPlanFixture();
   for (auto& subset : plan.check_plan->protected_functions) {
@@ -897,6 +918,9 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
     EXPECT_EQ(reply.run_status.message().find("planner threw"), std::string::npos) << label;
     ++expected_rejects;
     EXPECT_EQ(server.stats().analysis_rejects, expected_rejects) << label;
+    // A plan that decodes fine is an analysis reject only, never also a
+    // decode error.
+    EXPECT_EQ(server.stats().decode_errors, 0u) << label;
     // A rejected plan never occupies a cache slot.
     EXPECT_EQ(server.plan_cache_stats().entries, 0u) << label;
   }
@@ -906,6 +930,8 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
   EXPECT_TRUE(reply.run_status.ok()) << reply.run_status.ToString();
   ASSERT_TRUE(reply.partial.has_value());
   EXPECT_EQ(server.stats().analysis_rejects, expected_rejects);
+  EXPECT_EQ(expected_rejects, 7u);
+  EXPECT_EQ(server.stats().decode_errors, 0u);
   EXPECT_EQ(server.plan_cache_stats().entries, 1u);
 }
 

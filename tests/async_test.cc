@@ -81,11 +81,11 @@ TEST(CompletionQueueTest, DeliversInPushOrder) {
 
 TEST(AsyncSessionTest, HandleWaitMatchesSynchronousRun) {
   NvxBuilder builder;
-  builder.Benchmark(workload::Spec2006()[0]).Variants(3).Async(4);
+  builder.Benchmark(workload::Spec2006()[0]).Variants(3);
 
   auto sync_session = builder.Build();
   ASSERT_TRUE(sync_session.ok()) << sync_session.status().ToString();
-  auto async_session = builder.BuildAsync();
+  auto async_session = builder.BuildAsync(std::make_shared<support::ThreadPool>(4));
   ASSERT_TRUE(async_session.ok()) << async_session.status().ToString();
   EXPECT_STREQ(async_session->backend_name(), "trace");
   EXPECT_EQ(async_session->n_variants(), 3u);
@@ -113,8 +113,10 @@ TEST(AsyncSessionTest, HandleWaitMatchesSynchronousRun) {
 }
 
 TEST(AsyncSessionTest, TryGetIsNonBlockingAndEventuallyReady) {
-  auto session =
-      NvxBuilder().Benchmark(workload::Spec2006()[1]).Variants(2).Async(1).BuildAsync();
+  auto session = NvxBuilder()
+                     .Benchmark(workload::Spec2006()[1])
+                     .Variants(2)
+                     .BuildAsync(std::make_shared<support::ThreadPool>(1));
   ASSERT_TRUE(session.ok());
 
   RunHandle invalid;
@@ -236,8 +238,7 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
                        .Variants(3)
                        .InjectDetection(2, "__asan_report_load")
                        .SetObserver(observer)
-                       .Async(4)
-                       .BuildAsync();
+                       .BuildAsync(std::make_shared<support::ThreadPool>(4));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < kRuns; ++i) {
       session->Submit();
@@ -253,33 +254,19 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Async(n).Build(): the transparent synchronous wrapper.
-// ---------------------------------------------------------------------------
-
-TEST(AsyncSessionTest, AsyncBuildMatchesPlainBuild) {
-  NvxBuilder builder;
-  builder.Benchmark(workload::Spec2006()[2]).Variants(2);
-  auto plain = builder.Build();
-  ASSERT_TRUE(plain.ok());
-  auto offloaded = builder.Async(2).Build();
-  ASSERT_TRUE(offloaded.ok());
-  EXPECT_STREQ(offloaded->backend_name(), "trace");  // identity preserved
-
-  auto expected = plain->Run();
-  auto actual = offloaded->Run();  // executes on a pool worker, blocks caller
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(actual->outcome, expected->outcome);
-  EXPECT_DOUBLE_EQ(actual->total_time, expected->total_time);
-  EXPECT_DOUBLE_EQ(*actual->baseline_time, *expected->baseline_time);
+TEST(AsyncSessionTest, BuildAsyncRequiresAPool) {
+  auto session = NvxBuilder().Benchmark(workload::Spec2006()[1]).Variants(2).BuildAsync(nullptr);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AsyncSessionTest, DestructorDrainsOutstandingRuns) {
   CompletionQueue done;
   {
-    auto session =
-        NvxBuilder().Benchmark(workload::Spec2006()[1]).Variants(2).Async(2).BuildAsync();
+    auto session = NvxBuilder()
+                       .Benchmark(workload::Spec2006()[1])
+                       .Variants(2)
+                       .BuildAsync(std::make_shared<support::ThreadPool>(2));
     ASSERT_TRUE(session.ok());
     for (uint64_t i = 0; i < 6; ++i) {
       session->Submit({}, &done, i);  // handles intentionally dropped

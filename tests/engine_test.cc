@@ -268,6 +268,24 @@ TEST(EngineTest, RejectsEmptyAndMismatchedInput) {
   EXPECT_FALSE(engine.Run({one_thread, two_threads}).ok());
 }
 
+// The scheduler packs (variant, thread) into one 32-bit word; a wider
+// session is an error, not a silent detour to another scheduler. The threads
+// here are simulated trace threads — the test starts no OS threads.
+TEST(EngineTest, RejectsSessionsWiderThanTheSchedulerPacks) {
+  Engine engine(EngineConfig{});
+  const std::vector<VariantTrace> many_variants(nxe::kMaxSessionWidth + 1,
+                                                SimpleVariant("v", 1.0, {}));
+  auto report = engine.Run(many_variants);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+
+  VariantTrace many_threads = SimpleVariant("t", 1.0, {});
+  many_threads.threads.resize(nxe::kMaxSessionWidth + 1, many_threads.threads[0]);
+  report = engine.Run({many_threads});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EngineTest, SingleCoreSerializesCompute) {
   const auto& bench = workload::Spec2006()[1];
   auto variants = workload::BuildIdenticalVariants(bench, 2, 3);

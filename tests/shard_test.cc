@@ -394,10 +394,10 @@ TEST(ShardedSessionTest, StandaloneTimesScatterAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding composed with the async layer (the TSan-sensitive paths).
+// Concurrent sharded runs and the async layer (the TSan-sensitive paths).
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSessionTest, ComposesWithAsyncBuildOnOneSharedPool) {
+TEST(ShardedSessionTest, ConcurrentRunsShareTheSessionPool) {
   NvxBuilder builder;
   builder.Benchmark(workload::Spec2006()[0]).Variants(6).Seed(37);
   auto plain = builder.Build();
@@ -405,12 +405,12 @@ TEST(ShardedSessionTest, ComposesWithAsyncBuildOnOneSharedPool) {
   auto expected = plain->Run();
   ASSERT_TRUE(expected.ok());
 
-  auto session = builder.Shards(2).Async(2).Build();
+  auto session = builder.Shards(2).Build();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_STREQ(session->backend_name(), "trace");  // substrate identity kept
   EXPECT_EQ(session->n_variants(), 6u);
 
-  // Concurrent sharded runs through the same shared pool.
+  // Concurrent callers dispatch their shards onto the session's one pool.
   std::vector<StatusOr<RunReport>> reports(4, Status(StatusCode::kInternal, "pending"));
   {
     std::vector<std::thread> callers;
@@ -435,7 +435,7 @@ TEST(ShardedSessionTest, AsyncSubmissionsDrainOneQueue) {
                    .Benchmark(workload::Spec2006()[0])
                    .Variants(4)
                    .Shards(2)
-                   .BuildAsync();
+                   .BuildAsync(std::make_shared<support::ThreadPool>(2));
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   auto detect = NvxBuilder()
                     .Benchmark(workload::Spec2006()[0])
@@ -510,8 +510,7 @@ TEST(ShardedSessionTest, ObserverBlocksStaySequencedAcrossShardedRuns) {
                        .Shards(2)
                        .InjectDetection(3, "__asan_report_store")
                        .SetObserver(observer)
-                       .Async(3)
-                       .BuildAsync();
+                       .BuildAsync(std::make_shared<support::ThreadPool>(3));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < kRuns; ++i) {
       session->Submit();
