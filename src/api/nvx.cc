@@ -425,6 +425,16 @@ ReportFreelist& GlobalReportFreelist() {
   return *freelist;
 }
 
+// The shard-dispatch pool of every synchronous sharded or Remote() session:
+// started on first use with max(2, hardware concurrency) workers (the
+// nested-dispatch sizing rule, docs/concurrency.md). Leaked intentionally:
+// a pool that is never destroyed can never be joined from its own worker,
+// and sessions may outlive static teardown.
+support::ThreadPool* SharedShardPool() {
+  static support::ThreadPool* pool = new support::ThreadPool(/*n_workers=*/0, /*min_workers=*/2);
+  return pool;
+}
+
 }  // namespace
 
 RunReport AcquireReport() { return GlobalReportFreelist().Acquire(); }
@@ -731,10 +741,6 @@ NvxBuilder& NvxBuilder::Shards(size_t k) {
   shards_ = k;
   return *this;
 }
-NvxBuilder& NvxBuilder::Placement(PlacementPolicy policy) {
-  placement_ = policy;
-  return *this;
-}
 NvxBuilder& NvxBuilder::Remote(std::vector<net::Endpoint> endpoints, net::RemoteOptions options) {
   remote_endpoints_ = std::move(endpoints);
   remote_options_ = options;
@@ -833,28 +839,8 @@ Status NvxBuilder::ValidateTarget() const {
   return Status::Ok();
 }
 
-std::shared_ptr<support::ThreadPool> NvxBuilder::MakePool() const {
-  // Remote() is Shards(k) with k defaulting to the fleet size.
-  const size_t groups = shards_.value_or(remote_ ? remote_endpoints_.size() : 1);
-  if (groups <= 1) {
-    return nullptr;
-  }
-  // A shard dispatcher blocks on shard tasks of its own pool, so the pool is
-  // clamped to >= 2 workers — a 1-core host (CI) must not produce a
-  // single-worker pool. The dispatcher also claims shards itself, so this is
-  // throughput insurance, not a deadlock precondition (see
-  // docs/concurrency.md, "Nested dispatch sizing").
-  support::ThreadPool::Options options;
-  options.min_workers = 2;
-  // kSpread pins workers one per physical core (topology Detect()ed by the
-  // pool) so the SubmitTo steering in ShardedBackend maps shards to cores.
-  options.pin_threads = placement_ == PlacementPolicy::kSpread;
-  return std::make_shared<support::ThreadPool>(options);
-}
-
-StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
-    const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool,
-    bool* from_cache) const {
+StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(support::ThreadPool* shard_pool,
+                                                            bool* from_cache) const {
   Status valid = ValidateTarget();
   if (!valid.ok()) {
     return valid;
@@ -906,15 +892,13 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
           shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool)));
     }
   }
-  return std::unique_ptr<Backend>(new ShardedBackend(std::move(shared), std::move(shard_backends),
-                                                     shard_pool, backend_owns_pool, placement_));
+  return std::unique_ptr<Backend>(
+      new ShardedBackend(std::move(shared), std::move(shard_backends), shard_pool));
 }
 
-StatusOr<NvxSession> NvxBuilder::BuildSession(
-    const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool) const {
+StatusOr<NvxSession> NvxBuilder::BuildSession(support::ThreadPool* shard_pool) const {
   bool from_cache = false;
-  StatusOr<std::unique_ptr<Backend>> backend =
-      BuildBackend(shard_pool, backend_owns_pool, &from_cache);
+  StatusOr<std::unique_ptr<Backend>> backend = BuildBackend(shard_pool, &from_cache);
   if (!backend.ok()) {
     return backend.status();
   }
@@ -931,9 +915,10 @@ StatusOr<NvxSession> NvxBuilder::Build() const {
   if (!valid.ok()) {
     return valid;
   }
-  // Synchronous sessions are never destroyed on a pool worker, so the
-  // sharded backend may own its shard-dispatch pool.
-  return BuildSession(MakePool(), /*backend_owns_pool=*/true);
+  // Remote() is Shards(k) with k defaulting to the fleet size. A single
+  // group never dispatches, so it does not start the shared pool.
+  const size_t groups = shards_.value_or(remote_ ? remote_endpoints_.size() : 1);
+  return BuildSession(groups > 1 ? SharedShardPool() : nullptr);
 }
 
 StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
@@ -943,11 +928,9 @@ StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
   }
   // A sharded backend shares the session pool for its shard dispatch: its
   // dispatcher claims shards itself, so even a fully busy pool makes
-  // progress (support/thread_pool.h's nested-dispatch rule). The backend
-  // must NOT own the pool here: in-flight submissions can release the last
-  // session reference from a pool worker, and a ThreadPool must never be
-  // destroyed on its own worker — AsyncNvxSession owns the pool instead.
-  StatusOr<NvxSession> session = BuildSession(pool, /*backend_owns_pool=*/false);
+  // progress (docs/concurrency.md's nested-dispatch rule). AsyncNvxSession
+  // owns the pool and outlives every run; the backend only borrows it.
+  StatusOr<NvxSession> session = BuildSession(pool.get());
   if (!session.ok()) {
     return session.status();
   }

@@ -326,18 +326,6 @@ class NvxSession {
 // NvxBuilder: fluent configuration producing an NvxSession.
 // ---------------------------------------------------------------------------
 
-// How a sharded session maps shards onto pool workers (and, through worker
-// pinning, onto cores — support::Topology::PlacementOrder()).
-enum class PlacementPolicy {
-  // No steering: shard helpers land on pool workers round-robin.
-  kNone,
-  // Shard i is steered to pool worker i, and the pool's workers are pinned
-  // one per physical core (spread across LLC groups first, SMT siblings
-  // last). Placement is an affinity, not an assignment — an idle worker
-  // still steals a stalled worker's shard.
-  kSpread,
-};
-
 class NvxBuilder {
  public:
   // --- Target selection (exactly one required) -----------------------------
@@ -390,18 +378,15 @@ class NvxBuilder {
   // only). Shard 0 carries the baseline/leader slot; followers are dealt
   // round-robin; every shard replicates the leader for synchronization.
   // Each Run() dispatches the shards onto a thread pool and merges their
-  // PartialReports (RunReport::Merge). A synchronous Build() gives the
-  // session its own pool of >= 2 workers so the shard dispatcher can never
-  // starve its own shards (see support/thread_pool.h); BuildAsync(pool)
+  // PartialReports (RunReport::Merge). A synchronous Build() dispatches
+  // shards onto one process-wide pool of max(2, hardware concurrency)
+  // workers, shared by every such session and never destroyed (the
+  // nested-dispatch sizing rule, docs/concurrency.md); BuildAsync(pool)
   // dispatches shards onto the caller's pool.
   NvxBuilder& Shards(size_t k);
-  // Topology-aware shard placement (with Shards(k)): kSpread pins the shard
-  // pool's workers one per physical core and steers shard i to worker i.
-  // Reports are bit-identical under any policy; only scheduling changes.
-  NvxBuilder& Placement(PlacementPolicy policy);
   // Fan the session's shard groups out across executor daemons instead of
   // in-process engine shards (trace targets only): Shards(k) with remote
-  // shards, so it composes with BuildAsync() and Placement() the same way.
+  // shards, so it runs on the same pools and composes with BuildAsync().
   // Shards(k) sets the group count, default k = number of endpoints. Each
   // Run() ships the plan (by wire CacheKey, so executors cache decoded
   // plans) plus each group's member list to an executor chosen by CacheKey
@@ -444,17 +429,13 @@ class NvxBuilder {
  private:
   StatusOr<std::unique_ptr<Backend>> BuildIrBackend() const;
   // Validation + backend construction shared by Build()/BuildAsync(). When
-  // sharding is enabled the sharded backend dispatches onto `shard_pool`;
-  // `backend_owns_pool` must be false when the backend may be destroyed on
-  // a pool worker (the AsyncNvxSession composition — see shard.h).
-  // `from_cache` reports whether the plan cache served the plan.
-  StatusOr<std::unique_ptr<Backend>> BuildBackend(
-      const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool,
-      bool* from_cache) const;
+  // sharding is enabled the sharded backend dispatches onto `shard_pool`
+  // (not owned). `from_cache` reports whether the plan cache served the plan.
+  StatusOr<std::unique_ptr<Backend>> BuildBackend(support::ThreadPool* shard_pool,
+                                                  bool* from_cache) const;
   // BuildBackend() wrapped in a session, with the observer and plan-cache
   // telemetry installed.
-  StatusOr<NvxSession> BuildSession(const std::shared_ptr<support::ThreadPool>& shard_pool,
-                                    bool backend_owns_pool) const;
+  StatusOr<NvxSession> BuildSession(support::ThreadPool* shard_pool) const;
   // The planning inputs as a VariantPlan with no strategy output: what
   // PlanCacheKey() hashes and PlanBase() starts from.
   VariantPlan SkeletonPlan() const;
@@ -467,10 +448,6 @@ class NvxBuilder {
   StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(bool* from_cache) const;
   StatusOr<std::shared_ptr<const VariantPlan>> OverlayInjections(
       std::shared_ptr<const VariantPlan> base) const;
-  // The shard-dispatch pool of a synchronous sharded or Remote() Build()
-  // (>= 2 workers, so the dispatcher can never starve its own shards); null
-  // when the session has a single shard group.
-  std::shared_ptr<support::ThreadPool> MakePool() const;
   // Common validation for Build()/PlanVariants().
   Status ValidateTarget() const;
 
@@ -491,7 +468,6 @@ class NvxBuilder {
   bool measure_standalone_ = false;
   uint64_t seed_ = 42;
   std::optional<size_t> shards_;  // set by Shards()
-  PlacementPolicy placement_ = PlacementPolicy::kNone;
   std::vector<net::Endpoint> remote_endpoints_;  // set by Remote()
   net::RemoteOptions remote_options_;
   bool remote_ = false;

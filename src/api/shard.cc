@@ -15,7 +15,7 @@ namespace api {
 // Backend views: every dereference belongs to a claimed shard, and the
 // dispatching frame drains one completion event per shard before returning,
 // so no helper touches a backend after Run() ends — late-waking helpers that
-// lost the claim race only read the atomic and exit.
+// find every shard claimed only bump the cursor and exit.
 //
 // Blocks are pooled across runs (the request strings, shard view, collection
 // vectors and the completion queue's deque all keep their capacity), but a
@@ -24,14 +24,9 @@ namespace api {
 struct ShardedBackend::Dispatch {
   RunRequest request;
   std::vector<const Backend*> shards;
-  // One claim flag per shard, each on its own cache line: helper h tries
-  // flag h first (its placed shard), then scans — so claiming is a per-shard
-  // exchange, not a shared counter every helper hammers, and placement
-  // becomes an affinity the flags make race-free.
-  struct ClaimFlag {
-    alignas(64) std::atomic<bool> taken{false};
-  };
-  std::unique_ptr<ClaimFlag[]> claims;
+  // The next unclaimed shard. Reset at the start of each run; safe because
+  // a block is only reused once no helper of its previous run holds it.
+  alignas(64) std::atomic<size_t> next_shard{0};
   // Small lane footprint: this queue only ever carries n_shards events per
   // run, one producer per shard helper.
   alignas(64) CompletionQueue done{/*n_lanes=*/4, /*lane_capacity=*/16};
@@ -39,28 +34,17 @@ struct ShardedBackend::Dispatch {
   std::vector<std::optional<StatusOr<RunReport>>> by_shard;
   std::vector<PartialReport> partials;
 
-  // Claims start at `hint` (the helper's own shard under kSpread) and wrap;
-  // a helper keeps claiming until every shard is taken, so a busy pool never
-  // strands a shard. Returns immediately when all flags are already set.
-  void ClaimShards(size_t hint) {
-    const size_t n = shards.size();
+  // Claims shards until every one is taken, so a busy pool never strands a
+  // shard. Returns immediately when all are already claimed.
+  void ClaimShards() {
     for (;;) {
-      size_t claimed = n;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t s = (hint + i) % n;
-        std::atomic<bool>& flag = claims[s].taken;
-        if (!flag.load(std::memory_order_relaxed) &&
-            !flag.exchange(true, std::memory_order_acquire)) {
-          claimed = s;
-          break;
-        }
-      }
-      if (claimed == n) {
+      const size_t s = next_shard.fetch_add(1);
+      if (s >= shards.size()) {
         return;
       }
       done.AddProducer();
-      StatusOr<RunReport> report = shards[claimed]->Run(request);
-      done.Push(CompletionEvent{claimed, std::move(report)});
+      StatusOr<RunReport> report = shards[s]->Run(request);
+      done.Push(CompletionEvent{s, std::move(report)});
       done.RemoveProducer();
     }
   }
@@ -68,13 +52,8 @@ struct ShardedBackend::Dispatch {
 
 ShardedBackend::ShardedBackend(std::shared_ptr<const VariantPlan> plan,
                                std::vector<std::unique_ptr<Backend>> shards,
-                               const std::shared_ptr<support::ThreadPool>& pool, bool owns_pool,
-                               PlacementPolicy placement)
-    : plan_(std::move(plan)),
-      shards_(std::move(shards)),
-      pool_owner_(owns_pool ? pool : nullptr),
-      pool_(pool.get()),
-      placement_(placement) {
+                               support::ThreadPool* pool)
+    : plan_(std::move(plan)), shards_(std::move(shards)), pool_(pool) {
   // Snapshot each shard's coverage once: shard_coverage() returns by value,
   // and re-fetching it per run would put an allocation on the warm path.
   coverage_.reserve(shards_.size());
@@ -115,7 +94,6 @@ std::shared_ptr<ShardedBackend::Dispatch> ShardedBackend::TakeDispatch() const {
   for (const auto& shard : shards_) {
     dispatch->shards.push_back(shard.get());
   }
-  dispatch->claims = std::make_unique<Dispatch::ClaimFlag[]>(shards_.size());
   return dispatch;
 }
 
@@ -124,9 +102,7 @@ StatusOr<RunReport> ShardedBackend::Run(const RunRequest& request) const {
 
   std::shared_ptr<Dispatch> dispatch = TakeDispatch();
   dispatch->request = request;  // copy-assign: a warm block keeps capacity
-  for (size_t i = 0; i < n_shards; ++i) {
-    dispatch->claims[i].taken.store(false, std::memory_order_relaxed);
-  }
+  dispatch->next_shard.store(0);
 
   // Park the block for reuse on every exit path (including shard errors).
   struct DispatchReturn {
@@ -143,19 +119,13 @@ StatusOr<RunReport> ShardedBackend::Run(const RunRequest& request) const {
 
   if (pool_ != nullptr) {
     // One helper per extra shard; surplus helpers find nothing to claim.
-    // Under kSpread each helper is steered to pool worker h, whose first
-    // claim attempt is shard h — on a pinned pool, a stable shard->core map.
     for (size_t h = 1; h < n_shards; ++h) {
-      if (placement_ == PlacementPolicy::kSpread) {
-        pool_->SubmitTo(h, [dispatch, h] { dispatch->ClaimShards(h); });
-      } else {
-        pool_->Submit([dispatch, h] { dispatch->ClaimShards(h); });
-      }
+      pool_->Submit([dispatch] { dispatch->ClaimShards(); });
     }
   }
   // The dispatcher claims too: a sharded run completes even when every pool
   // worker is busy dispatching other sharded runs (or there is no pool).
-  dispatch->ClaimShards(0);
+  dispatch->ClaimShards();
 
   // Collect into shard order so merging (and error reporting) is
   // deterministic regardless of completion order.

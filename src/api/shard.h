@@ -13,21 +13,16 @@
 // Dispatch runs over a support::ThreadPool via one CompletionQueue, and the
 // dispatching thread *claims shards itself* while it waits: a sharded run
 // completes even on a fully busy (or absent) pool, so running the backend
-// under an AsyncNvxSession on the same pool cannot deadlock.
-//
-// With PlacementPolicy::kSpread each shard is steered to a fixed pool
-// worker (ThreadPool::SubmitTo) — on a pinned pool that means a fixed
-// physical core, placed by support::Topology::PlacementOrder(). Shards are
-// claimed through per-shard flags: a helper takes its own shard first and
-// only then scans for unclaimed ones, so placement is an affinity, never a
-// liveness constraint — a stalled worker's shard is still stolen.
+// under an AsyncNvxSession on the same pool cannot deadlock. Shards are
+// claimed through one atomic cursor per run, so a shard runs exactly once
+// whichever thread — pool helper or dispatcher — gets to it first.
 //
 //   auto session = api::NvxBuilder()
 //                      .Benchmark(workload::Spec2006()[0])
 //                      .Variants(8)
 //                      .DistributeChecks(san::SanitizerId::kASan)
 //                      .Shards(4)          // 4 engine shards, merged reports
-//                      .BuildAsync(pool);  // or Build(): a private pool
+//                      .BuildAsync(pool);  // or Build(): the shared shard pool
 #ifndef BUNSHIN_SRC_API_SHARD_H_
 #define BUNSHIN_SRC_API_SHARD_H_
 
@@ -46,19 +41,13 @@ namespace api {
 class ShardedBackend final : public Backend {
  public:
   // `shards` are backends over subsets of `plan`'s variants with disjoint
-  // slot ownership; shards[0] must own the baseline. `pool` may be null, in
-  // which case every shard runs sequentially on the dispatching thread.
-  //
-  // `owns_pool` decides whether this backend keeps the pool alive. It must
-  // be false when the backend can be destroyed *on* a pool worker — the
-  // AsyncNvxSession composition, whose in-flight task lambdas can hold the
-  // last session reference and release it from a worker; a ThreadPool must
-  // never run its own destructor on one of its workers (self-join). In that
-  // composition AsyncNvxSession owns the pool and outlives every run.
+  // slot ownership; shards[0] must own the baseline. `pool` is not owned
+  // and must outlive every run; it may be null, in which case every shard
+  // runs sequentially on the dispatching thread. The backend never keeps a
+  // pool alive, so it may be destroyed on one of the pool's own workers
+  // (the AsyncNvxSession composition, where AsyncNvxSession owns the pool).
   ShardedBackend(std::shared_ptr<const VariantPlan> plan,
-                 std::vector<std::unique_ptr<Backend>> shards,
-                 const std::shared_ptr<support::ThreadPool>& pool, bool owns_pool,
-                 PlacementPolicy placement = PlacementPolicy::kNone);
+                 std::vector<std::unique_ptr<Backend>> shards, support::ThreadPool* pool);
   ~ShardedBackend() override;
 
   // Reports keep the execution substrate's identity (e.g. "trace").
@@ -75,7 +64,6 @@ class ShardedBackend final : public Backend {
 
   size_t n_shards() const { return shards_.size(); }
   const Backend& shard(size_t i) const { return *shards_[i]; }
-  support::ThreadPool* pool() const { return pool_; }
 
  private:
   struct Dispatch;  // per-run fan-out state, pooled across runs (shard.cc)
@@ -86,9 +74,7 @@ class ShardedBackend final : public Backend {
   // Each shard's slot coverage, snapshotted once at construction —
   // shard_coverage() returns by value, which would allocate on every run.
   std::vector<std::vector<size_t>> coverage_;
-  std::shared_ptr<support::ThreadPool> pool_owner_;  // null when not owning
-  support::ThreadPool* pool_ = nullptr;              // the usable view
-  PlacementPolicy placement_ = PlacementPolicy::kNone;
+  support::ThreadPool* pool_ = nullptr;  // not owned; null runs shards inline
 
   // Warm-run freelist of Dispatch blocks. A block is only reusable once
   // every late-waking pool helper has dropped its reference (use_count 1).

@@ -5,7 +5,7 @@
 // whose shards are RemoteBackends: each Run() ships the encoded plan plus
 // its group's member list to an executor and returns the decoded,
 // coverage-checked report. So a Remote(loopback) session is bit-identical
-// to Shards(k) and composes with BuildAsync() and Placement().
+// to Shards(k), runs on the same pools and composes with BuildAsync().
 //
 // Routing is CacheKey-affine: group g of a plan goes to endpoint
 // (fnv1a(plan.CacheKey()) + g) % E, so a fleet serving one hot plan sees

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace bunshin {
 namespace support {
 
@@ -17,11 +12,6 @@ ThreadPool::ThreadPool(const Options& options) {
     n_workers = std::max(1u, std::thread::hardware_concurrency());
   }
   n_workers = std::max(n_workers, std::max<size_t>(1, options.min_workers));
-
-  if (options.pin_threads) {
-    pin_plan_ = PlanWorkerCpus(
-        options.topology.empty() ? Topology::Detect() : options.topology, n_workers);
-  }
 
   // Every Worker exists before any thread starts: threads index workers_
   // freely (steal sweeps), so the vector must never grow under them.
@@ -45,40 +35,13 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-std::vector<int> ThreadPool::PlanWorkerCpus(const Topology& topology, size_t n_workers) {
-  const std::vector<int> order = topology.PlacementOrder();
-  std::vector<int> plan(n_workers, -1);
-  if (order.empty()) {
-    return plan;
-  }
-  for (size_t i = 0; i < n_workers; ++i) {
-    plan[i] = order[i % order.size()];
-  }
-  return plan;
-}
-
-int ThreadPool::pinned_cpu(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return -1;
-  }
-  return workers_[worker]->pinned_cpu.load(std::memory_order_relaxed);
-}
-
 void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size(),
-          std::move(task));
-}
-
-void ThreadPool::SubmitTo(size_t worker, std::function<void()> task) {
-  Enqueue(worker % workers_.size(), std::move(task));
-}
-
-void ThreadPool::Enqueue(size_t worker, std::function<void()> task) {
   // Counted before it is visible in any queue, so WaitIdle can never observe
   // "no unfinished work" while a task is mid-push.
   unfinished_.fetch_add(1, std::memory_order_seq_cst);
   {
-    Worker& target = *workers_[worker];
+    Worker& target =
+        *workers_[next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size()];
     std::lock_guard<std::mutex> lock(target.mu);
     target.queue.push_back(std::move(task));
   }
@@ -109,8 +72,8 @@ bool ThreadPool::TryPop(size_t id, std::function<void()>* task) {
       return true;
     }
   }
-  // Steal newest-first from the victim's back: the front of a targeted
-  // queue stays with its intended worker as long as possible.
+  // Steal newest-first from the victim's back: the front of a queue stays
+  // with its own worker as long as possible.
   for (size_t k = 1; k < n; ++k) {
     Worker& victim = *workers_[(id + k) % n];
     std::lock_guard<std::mutex> lock(victim.mu);
@@ -124,20 +87,6 @@ bool ThreadPool::TryPop(size_t id, std::function<void()>* task) {
 }
 
 void ThreadPool::WorkerLoop(size_t id) {
-#ifdef __linux__
-  if (!pin_plan_.empty()) {
-    const int cpu = pin_plan_[id % pin_plan_.size()];
-    if (cpu >= 0 && cpu < CPU_SETSIZE) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(cpu, &set);
-      if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
-        workers_[id]->pinned_cpu.store(cpu, std::memory_order_relaxed);
-      }
-    }
-  }
-#endif
-
   std::function<void()> task;
   for (;;) {
     while (TryPop(id, &task)) {

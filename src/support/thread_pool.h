@@ -1,31 +1,23 @@
-// A worker pool with per-worker task queues, work stealing, and optional
-// CPU pinning.
+// A worker pool with per-worker task queues and work stealing.
 //
 // This is the execution substrate of the async session layer (src/api/async)
 // and the shard dispatcher (src/api/shard): one pool serves many sessions,
 // so a server keeps a bounded number of synchronization workers no matter
 // how many requests are in flight. Each worker owns its own task deque —
-// Submit() deals tasks round-robin, SubmitTo() targets a specific worker
-// (the shard placement path), and an idle worker steals from its neighbours
-// so a targeted queue can never strand work behind a busy worker. The old
+// Submit() deals tasks round-robin, and an idle worker steals from its
+// neighbours so no queue can strand work behind a busy worker. The old
 // single-mutex queue made every submit and every dequeue serialize on one
 // lock; here submitters only touch one worker's queue lock, and workers in
 // the steady state pop from their own.
-//
-// With Options::pin_threads, worker i is pinned to the i-th CPU of the
-// topology's PlacementOrder() — physical cores first, SMT siblings last
-// (src/support/topology.h) — so concurrently running shard engines stop
-// migrating across (and doubling up on) cores. Pinning is best-effort: on
-// hosts where affinity calls fail the pool runs unpinned (pinned_cpu()
-// reports -1).
 //
 // Tasks submitted before destruction are always drained — the destructor
 // joins only after every queue is empty, so completions are never silently
 // dropped. Tasks on one worker's queue start in submission order, but with
 // stealing there is no global start-order guarantee; callers needing
-// ordering must sequence it themselves. Blocking rules for tasks that
-// dispatch onto their own pool are documented in docs/concurrency.md (the
-// nested-dispatch sizing rule).
+// ordering must sequence it themselves. A pool must never be destroyed on
+// one of its own workers (the join would wait on itself). Blocking rules for
+// tasks that dispatch onto their own pool are documented in
+// docs/concurrency.md (the nested-dispatch sizing rule).
 #ifndef BUNSHIN_SRC_SUPPORT_THREAD_POOL_H_
 #define BUNSHIN_SRC_SUPPORT_THREAD_POOL_H_
 
@@ -38,8 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/support/topology.h"
-
 namespace bunshin {
 namespace support {
 
@@ -47,19 +37,15 @@ class ThreadPool {
  public:
   struct Options {
     // 0 picks the hardware concurrency (at least 1). The resolved size is
-    // then clamped to at least min_workers — sharded sessions pass 2 (the
-    // nested-dispatch sizing rule, docs/concurrency.md).
+    // then clamped to at least min_workers — the shared shard-dispatch pool
+    // passes 2 (the nested-dispatch sizing rule, docs/concurrency.md).
     size_t n_workers = 0;
     size_t min_workers = 1;
-    // Pin worker i to topology.PlacementOrder()[i % n_cpus]. An empty
-    // topology is Detect()ed at construction.
-    bool pin_threads = false;
-    Topology topology;
   };
 
   explicit ThreadPool(const Options& options);
   explicit ThreadPool(size_t n_workers, size_t min_workers = 1)
-      : ThreadPool(Options{n_workers, min_workers, false, {}}) {}
+      : ThreadPool(Options{n_workers, min_workers}) {}
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -71,38 +57,21 @@ class ThreadPool {
   // not block on work that can only run on this same pool.
   void Submit(std::function<void()> task);
 
-  // Enqueues on worker `worker % n_workers()`'s own queue: the task runs
-  // there unless that worker is busy and an idle one steals it first. This
-  // is an affinity hint, not an exclusive assignment — the shard dispatcher
-  // uses it to land shard h on the worker pinned to placement slot h.
-  void SubmitTo(size_t worker, std::function<void()> task);
-
   // Blocks until every queue is empty and every worker is idle.
   void WaitIdle();
-
-  // The OS CPU worker i was pinned to, or -1 when unpinned (pinning off,
-  // or the affinity call failed on this host).
-  int pinned_cpu(size_t worker) const;
-
-  // The pin plan Options{pin_threads, topology} resolves to: worker i ->
-  // placement[i % placement.size()]. Pure, for tests and introspection.
-  static std::vector<int> PlanWorkerCpus(const Topology& topology, size_t n_workers);
 
  private:
   struct Worker {
     alignas(64) std::mutex mu;
     std::deque<std::function<void()>> queue;
     std::thread thread;
-    std::atomic<int> pinned_cpu{-1};
   };
 
   void WorkerLoop(size_t id);
   bool TryPop(size_t id, std::function<void()>* task);
-  void Enqueue(size_t worker, std::function<void()> task);
 
   // Workers are held by unique_ptr so the vector never moves a live mutex.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<int> pin_plan_;  // empty when pinning is off
 
   std::atomic<size_t> next_worker_{0};  // round-robin submit cursor
   std::atomic<size_t> unfinished_{0};   // queued + running tasks

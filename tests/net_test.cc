@@ -338,8 +338,8 @@ std::vector<Endpoint> LoopbackFleet(const std::vector<std::shared_ptr<ExecutorSe
 
 // A Remote() session backend assembled outside the builder, the way
 // NvxBuilder::BuildBackend assembles it: one RemoteBackend per group, all
-// sharing one RemoteSessionState, under an api::ShardedBackend on a
-// two-worker pool. The shared state stays in reach for stats and affinity.
+// sharing one RemoteSessionState, under an api::ShardedBackend that borrows
+// a two-worker pool. The shared state stays in reach for stats and affinity.
 struct RemoteShards {
   RemoteShards(std::shared_ptr<const api::VariantPlan> plan,
                std::vector<std::vector<size_t>> groups, std::vector<Endpoint> endpoints,
@@ -350,9 +350,7 @@ struct RemoteShards {
     for (size_t g = 0; g < state->groups().size(); ++g) {
       shards.push_back(std::make_unique<net::RemoteBackend>(state, g));
     }
-    sharded = std::make_unique<api::ShardedBackend>(
-        std::move(plan), std::move(shards), std::make_shared<support::ThreadPool>(2),
-        /*owns_pool=*/true);
+    sharded = std::make_unique<api::ShardedBackend>(std::move(plan), std::move(shards), &pool);
   }
 
   StatusOr<RunReport> Run(const api::RunRequest& request) const { return sharded->Run(request); }
@@ -360,6 +358,7 @@ struct RemoteShards {
   std::vector<net::EndpointStats> endpoint_stats() const { return state->endpoint_stats(); }
 
   std::shared_ptr<const net::RemoteSessionState> state;
+  support::ThreadPool pool{2};  // declared before the backend that borrows it
   std::unique_ptr<api::ShardedBackend> sharded;
 };
 

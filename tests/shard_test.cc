@@ -6,6 +6,8 @@
 // runs under ThreadSanitizer in CI alongside the async suites.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -243,6 +245,38 @@ StatusOr<RunReport> RunConfigured(Configure configure, size_t shards) {
   return session->Run();
 }
 
+// Outcome, incident attribution, baseline and per-variant sanitizer load
+// of a sharded report against the unsharded session's.
+void ExpectMatchesUnsharded(const RunReport& sharded, const RunReport& unsharded) {
+  EXPECT_EQ(sharded.backend, unsharded.backend);
+  EXPECT_EQ(sharded.outcome, unsharded.outcome);
+  EXPECT_EQ(sharded.aborted_all, unsharded.aborted_all);
+  // Detection attribution must match exactly.
+  ASSERT_EQ(sharded.detection.has_value(), unsharded.detection.has_value());
+  if (unsharded.detection.has_value()) {
+    EXPECT_EQ(sharded.detection->variant, unsharded.detection->variant);
+    EXPECT_EQ(sharded.detection->thread, unsharded.detection->thread);
+    EXPECT_EQ(sharded.detection->detector, unsharded.detection->detector);
+  }
+  // Divergence attribution must match exactly (leader-relative).
+  ASSERT_EQ(sharded.divergence.has_value(), unsharded.divergence.has_value());
+  if (unsharded.divergence.has_value()) {
+    EXPECT_EQ(sharded.divergence->variant, unsharded.divergence->variant);
+    EXPECT_EQ(sharded.divergence->thread, unsharded.divergence->thread);
+    EXPECT_EQ(sharded.divergence->sync_index, unsharded.divergence->sync_index);
+    EXPECT_EQ(sharded.divergence->expected, unsharded.divergence->expected);
+    EXPECT_EQ(sharded.divergence->actual, unsharded.divergence->actual);
+    EXPECT_EQ(sharded.divergence->detail, unsharded.divergence->detail);
+  }
+  // Shard 0 measures the same baseline the unsharded session does, and
+  // per-variant sanitizer load is plan-derived, so both must be identical.
+  ASSERT_EQ(sharded.baseline_time.has_value(), unsharded.baseline_time.has_value());
+  if (unsharded.baseline_time.has_value()) {
+    EXPECT_DOUBLE_EQ(*sharded.baseline_time, *unsharded.baseline_time);
+  }
+  EXPECT_EQ(sharded.variant_compute_scale, unsharded.variant_compute_scale);
+}
+
 template <typename Configure>
 void ExpectShardingEquivalence(Configure configure, const char* what) {
   auto unsharded = RunConfigured(configure, 0);
@@ -251,34 +285,7 @@ void ExpectShardingEquivalence(Configure configure, const char* what) {
     SCOPED_TRACE(std::string(what) + " with Shards(" + std::to_string(k) + ")");
     auto sharded = RunConfigured(configure, k);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-
-    EXPECT_EQ(sharded->backend, unsharded->backend);
-    EXPECT_EQ(sharded->outcome, unsharded->outcome);
-    EXPECT_EQ(sharded->aborted_all, unsharded->aborted_all);
-    // Detection attribution must match exactly.
-    ASSERT_EQ(sharded->detection.has_value(), unsharded->detection.has_value());
-    if (unsharded->detection.has_value()) {
-      EXPECT_EQ(sharded->detection->variant, unsharded->detection->variant);
-      EXPECT_EQ(sharded->detection->thread, unsharded->detection->thread);
-      EXPECT_EQ(sharded->detection->detector, unsharded->detection->detector);
-    }
-    // Divergence attribution must match exactly (leader-relative).
-    ASSERT_EQ(sharded->divergence.has_value(), unsharded->divergence.has_value());
-    if (unsharded->divergence.has_value()) {
-      EXPECT_EQ(sharded->divergence->variant, unsharded->divergence->variant);
-      EXPECT_EQ(sharded->divergence->thread, unsharded->divergence->thread);
-      EXPECT_EQ(sharded->divergence->sync_index, unsharded->divergence->sync_index);
-      EXPECT_EQ(sharded->divergence->expected, unsharded->divergence->expected);
-      EXPECT_EQ(sharded->divergence->actual, unsharded->divergence->actual);
-      EXPECT_EQ(sharded->divergence->detail, unsharded->divergence->detail);
-    }
-    // Shard 0 measures the same baseline the unsharded session does, and
-    // per-variant sanitizer load is plan-derived, so both must be identical.
-    ASSERT_EQ(sharded->baseline_time.has_value(), unsharded->baseline_time.has_value());
-    if (unsharded->baseline_time.has_value()) {
-      EXPECT_DOUBLE_EQ(*sharded->baseline_time, *unsharded->baseline_time);
-    }
-    EXPECT_EQ(sharded->variant_compute_scale, unsharded->variant_compute_scale);
+    ExpectMatchesUnsharded(*sharded, *unsharded);
   }
 }
 
@@ -427,6 +434,50 @@ TEST(ShardedSessionTest, ConcurrentRunsShareTheSessionPool) {
     EXPECT_EQ(report->outcome, expected->outcome);
     EXPECT_DOUBLE_EQ(*report->baseline_time, *expected->baseline_time);
   }
+}
+
+// Live threads of this process.
+size_t ProcessThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+// Synchronous sharded sessions borrow one process-wide dispatch pool instead
+// of each starting a pool of their own: with four sessions alive at once,
+// the last three add no pool threads.
+TEST(ShardedSessionTest, SyncShardedSessionsShareOneDispatchPool) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no procfs to count threads with";
+  }
+  auto configure = [](NvxBuilder& b) {
+    b.Benchmark(workload::Spec2006()[0])
+        .Variants(6)
+        .DistributeChecks(san::SanitizerId::kASan)
+        .InjectDetection(3, "__asan_report_load")
+        .Seed(53);
+  };
+  auto unsharded = RunConfigured(configure, 0);
+  ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
+
+  std::vector<api::NvxSession> sessions;
+  auto build_and_run = [&] {
+    NvxBuilder builder;
+    configure(builder);
+    auto session = builder.Shards(2).Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto report = session->Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectMatchesUnsharded(*report, *unsharded);
+    sessions.push_back(std::move(*session));
+  };
+  build_and_run();  // starts the shared pool unless an earlier test did
+  const size_t threads = ProcessThreads();
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("session " + std::to_string(i + 2));
+    build_and_run();
+  }
+  EXPECT_EQ(sessions.size(), 4u);
+  EXPECT_LE(ProcessThreads(), threads + 2);
 }
 
 TEST(ShardedSessionTest, AsyncSubmissionsDrainOneQueue) {

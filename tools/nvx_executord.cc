@@ -4,7 +4,7 @@
 // CacheKey), runs the requested shard members on a thread pool, and replies
 // with PartialReports plus occupancy.
 //
-//   nvx_executord --port 7001 --workers 4 --pin
+//   nvx_executord --port 7001 --workers 4
 //
 // --port 0 (the default) picks an ephemeral port; the chosen port is printed
 // either way, as the line "nvx_executord listening on port <p>", which the
@@ -20,11 +20,9 @@ namespace {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--workers N] [--pin] [--plan-cache C] [--pool-capacity E]\n"
+               "usage: %s [--port P] [--workers N] [--plan-cache C] [--pool-capacity E]\n"
                "  --port P           TCP port to listen on (0 = ephemeral; default 0)\n"
                "  --workers N        thread-pool size (0 = hardware concurrency; default 0)\n"
-               "  --pin              pin workers one per physical core (topology placement\n"
-               "                     order; best-effort — dedicated executor hosts only)\n"
                "  --plan-cache C     decoded-plan cache capacity (default 64)\n"
                "  --pool-capacity E  idle engine states pooled per plan for the warm-run\n"
                "                     path (0 = disable pooling; default 8)\n",
@@ -43,8 +41,6 @@ int main(int argc, char** argv) {
       port = std::atol(argv[++i]);
     } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
       options.n_workers = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(arg, "--pin") == 0) {
-      options.pin_threads = true;
     } else if (std::strcmp(arg, "--plan-cache") == 0 && has_value) {
       options.plan_cache_capacity = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(arg, "--pool-capacity") == 0 && has_value) {
