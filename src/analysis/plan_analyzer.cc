@@ -15,6 +15,7 @@
 #include "src/nxe/engine.h"
 #include "src/sanitizer/sanitizer.h"
 #include "src/workload/funcprofile.h"
+#include "src/workload/tracegen.h"
 
 namespace bunshin {
 namespace analysis {
@@ -151,7 +152,7 @@ void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
 // --- coverage/* for check distribution (§3.2) --------------------------------
 
 void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report) {
-  if (!plan.check_plan.has_value()) {
+  if (plan.check_plan == nullptr) {
     report->AddError("coverage/missing-plan", "",
                      "strategy is check-distribution but the plan carries no "
                      "CheckDistributionPlan",
@@ -394,34 +395,128 @@ void CheckCoverage(const api::VariantPlan& plan, AnalysisReport* report) {
   }
 }
 
+// The rule passes: everything AnalyzePlan reports before it builds traces.
+void CheckRules(const api::VariantPlan& plan, AnalysisReport* report) {
+  CheckWellFormedness(plan, report);
+  CheckCoverage(plan, report);
+}
+
+// Liveness needs the concrete traces; it is skipped when the plan is
+// structurally unable to build them, or too wide to build them at a bounded
+// cost (the plan/* rules already reject it).
+bool LivenessApplies(const api::VariantPlan& plan) {
+  const bool one_target = plan.benchmark.has_value() != plan.server.has_value();
+  return one_target && !plan.specs.empty() && !TooWide(plan);
+}
+
+std::vector<size_t> AllMembers(const api::VariantPlan& plan) {
+  std::vector<size_t> members(plan.specs.size());
+  std::iota(members.begin(), members.end(), size_t{0});
+  return members;
+}
+
+void ReportInjectionSite(const Status& status, AnalysisReport* report) {
+  report->AddError("plan/injection-site", "", "trace construction fails: " + status.message(),
+                   "inject divergences only into variants with sync-relevant syscalls");
+}
+
+// The liveness pass runs under the session-wide contention width.
+nxe::EngineConfig LivenessConfig(const api::VariantPlan& plan) {
+  nxe::EngineConfig config = plan.engine_config;
+  config.contention_variants = plan.n_variants();
+  return config;
+}
+
+bool InjectionsInRange(const api::VariantPlan& plan) {
+  for (const api::DetectInjection& injection : plan.detect_injections) {
+    if (injection.variant >= plan.specs.size()) {
+      return false;
+    }
+  }
+  for (const api::DivergeInjection& injection : plan.diverge_injections) {
+    if (injection.variant >= plan.specs.size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The base analysis of a base plan: AnalyzeOverlay(AnalyzeBase(plan), plan)
+// == AnalyzePlan(plan).
+BaseAnalysis AnalyzeBase(const api::VariantPlan& plan) {
+  BaseAnalysis base;
+  CheckRules(plan, &base.rules);
+  if (LivenessApplies(plan)) {
+    const workload::TraceTemplate tmpl = api::BuildPlanTemplate(plan, plan.seed);
+    base.traces.resize(plan.specs.size());
+    for (size_t v = 0; v < plan.specs.size(); ++v) {
+      workload::DeriveTrace(tmpl, plan.specs[v], &base.traces[v]);
+    }
+  }
+  return base;
+}
+
 }  // namespace
 
 AnalysisReport AnalyzePlan(const api::VariantPlan& plan,
                            std::optional<uint64_t> workload_seed) {
   AnalysisReport report;
-  CheckWellFormedness(plan, &report);
-  CheckCoverage(plan, &report);
-
-  // Liveness needs the concrete traces; skip when the plan is structurally
-  // unable to build them, or too wide to build them at a bounded cost (the
-  // plan/* errors above already reject it).
-  const bool one_target = plan.benchmark.has_value() != plan.server.has_value();
-  if (!one_target || plan.specs.empty() || TooWide(plan)) {
+  CheckRules(plan, &report);
+  if (!LivenessApplies(plan)) {
     return report;
   }
-  std::vector<size_t> members(plan.specs.size());
-  std::iota(members.begin(), members.end(), size_t{0});
-  auto traces = api::BuildPlanTraces(plan, members, workload_seed.value_or(plan.seed));
+  auto traces = api::BuildPlanTraces(plan, AllMembers(plan), workload_seed.value_or(plan.seed));
   if (!traces.ok()) {
-    report.AddError("plan/injection-site", "",
-                    "trace construction fails: " + traces.status().message(),
-                    "inject divergences only into variants with sync-relevant syscalls");
+    ReportInjectionSite(traces.status(), &report);
     return report;
   }
-  nxe::EngineConfig config = plan.engine_config;
-  config.contention_variants = plan.n_variants();
-  AnalyzeTraces(config, *traces, &report);
+  AnalyzeTraces(LivenessConfig(plan), *traces, &report);
   return report;
+}
+
+AnalysisReport AnalyzeOverlay(const BaseAnalysis& base, const api::VariantPlan& overlay) {
+  // base.rules lacks plan/injection-range, and a base of another shape has
+  // no trace to read for some slot: analyze such an overlay in full.
+  const size_t n_traces = LivenessApplies(overlay) ? overlay.specs.size() : 0;
+  if (!InjectionsInRange(overlay) || base.traces.size() != n_traces) {
+    return AnalyzePlan(overlay);
+  }
+  AnalysisReport report = base.rules;
+  if (n_traces == 0) {
+    return report;
+  }
+  std::vector<const nxe::VariantTrace*> view;
+  view.reserve(base.traces.size());
+  for (const nxe::VariantTrace& trace : base.traces) {
+    view.push_back(&trace);
+  }
+  // Each targeted variant is copied once, however many injections it takes.
+  std::vector<size_t> targeted;
+  for (const api::DetectInjection& injection : overlay.detect_injections) {
+    targeted.push_back(injection.variant);
+  }
+  for (const api::DivergeInjection& injection : overlay.diverge_injections) {
+    targeted.push_back(injection.variant);
+  }
+  std::sort(targeted.begin(), targeted.end());
+  targeted.erase(std::unique(targeted.begin(), targeted.end()), targeted.end());
+  std::vector<nxe::VariantTrace> spliced(targeted.size());
+  for (size_t i = 0; i < targeted.size(); ++i) {
+    spliced[i] = base.traces[targeted[i]];
+    Status status = api::SpliceInjections(overlay, targeted[i], &spliced[i]);
+    if (!status.ok()) {
+      ReportInjectionSite(status, &report);
+      return report;
+    }
+    view[targeted[i]] = &spliced[i];
+  }
+  AnalyzeTracesInPlace(LivenessConfig(overlay), view, &report);
+  return report;
+}
+
+const BaseAnalysis& LazyBaseAnalysis::Get(const api::VariantPlan& plan) const {
+  std::call_once(once_, [this, &plan] { base_ = AnalyzeBase(plan); });
+  return base_;
 }
 
 }  // namespace analysis

@@ -250,18 +250,29 @@ bool CompareSkeletons(size_t variant, size_t thread, const std::vector<SkeletonE
 
 void AnalyzeTraces(const nxe::EngineConfig& config,
                    const std::vector<nxe::VariantTrace>& variants, AnalysisReport* report) {
+  std::vector<const nxe::VariantTrace*> view;
+  view.reserve(variants.size());
+  for (const nxe::VariantTrace& variant : variants) {
+    view.push_back(&variant);
+  }
+  AnalyzeTracesInPlace(config, view, report);
+}
+
+void AnalyzeTracesInPlace(const nxe::EngineConfig& config,
+                          const std::vector<const nxe::VariantTrace*>& variants,
+                          AnalysisReport* report) {
   if (variants.empty()) {
     report->AddError("liveness/no-variants", "", "no variants to run",
                      "plan at least one variant trace");
     return;
   }
 
-  const size_t threads0 = variants[0].threads.size();
+  const size_t threads0 = variants[0]->threads.size();
   bool shape_ok = true;
   for (size_t v = 1; v < variants.size(); ++v) {
-    if (variants[v].threads.size() != threads0) {
+    if (variants[v]->threads.size() != threads0) {
       report->AddError("liveness/variant-thread-count", Loc(v),
-                       "has " + std::to_string(variants[v].threads.size()) +
+                       "has " + std::to_string(variants[v]->threads.size()) +
                            " thread(s) but the leader has " + std::to_string(threads0) +
                            "; the engine rejects unequal thread counts",
                        "generate every variant from the same threaded template");
@@ -279,7 +290,7 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   // variant mean some thread exits while its siblings park at a barrier —
   // the engine's "malformed trace" InvalidArgument.
   for (size_t v = 0; v < variants.size(); ++v) {
-    const auto& threads = variants[v].threads;
+    const auto& threads = variants[v]->threads;
     if (threads.size() < 2) {
       continue;
     }
@@ -306,12 +317,12 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
     std::vector<std::vector<SkeletonEntry>> leader_skeletons;
     leader_skeletons.reserve(threads0);
     for (size_t t = 0; t < threads0; ++t) {
-      leader_skeletons.push_back(BuildSkeleton(variants[0], t));
+      leader_skeletons.push_back(BuildSkeleton(*variants[0], t));
     }
     for (size_t v = 1; v < variants.size(); ++v) {
       bool divergence_noted = false;
       for (size_t t = 0; t < threads0; ++t) {
-        CompareSkeletons(v, t, leader_skeletons[t], BuildSkeleton(variants[v], t),
+        CompareSkeletons(v, t, leader_skeletons[t], BuildSkeleton(*variants[v], t),
                          &divergence_noted, report);
       }
     }
@@ -320,7 +331,7 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   // Lock-order cycles: deployment risk, not an engine error (see header).
   for (size_t v = 0; v < variants.size(); ++v) {
     LockOrderGraph graph;
-    for (const nxe::ThreadTrace& thread : variants[v].threads) {
+    for (const nxe::ThreadTrace& thread : variants[v]->threads) {
       graph.AddThread(thread);
     }
     const std::string cycle = graph.FindCycle();
@@ -337,7 +348,7 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   // Ring back-pressure bound (§5.3 attack window) in selective mode.
   if (config.mode == nxe::LockstepMode::kSelective && variants.size() > 1 &&
       config.ring_capacity > 0) {
-    const size_t leader_syncs = CountSyncSyscalls(variants[0]);
+    const size_t leader_syncs = CountSyncSyscalls(*variants[0]);
     if (leader_syncs > 0 && config.ring_capacity >= leader_syncs) {
       report->AddWarning(
           "liveness/ring-backpressure", Loc(0),
@@ -358,11 +369,11 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   // with a detection report (the highest-priority engine round).
   for (size_t v = 0; v < variants.size(); ++v) {
     bool noted = false;
-    for (size_t t = 0; t < variants[v].threads.size() && !noted; ++t) {
-      for (const nxe::ThreadAction& action : variants[v].threads[t].actions) {
+    for (size_t t = 0; t < variants[v]->threads.size() && !noted; ++t) {
+      for (const nxe::ThreadAction& action : variants[v]->threads[t].actions) {
         if (action.kind == nxe::ActionKind::kDetect) {
           report->AddNote("analysis/expected-detection", Loc(v, t),
-                          "sanitizer check '" + variants[v].DetectorOf(action) +
+                          "sanitizer check '" + variants[v]->DetectorOf(action) +
                               "' fires here; the engine aborts all variants with a detection "
                               "report");
           noted = true;

@@ -58,6 +58,12 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
                    const std::vector<nxe::VariantTrace>& variants,
                    AnalysisReport* report);
 
+// The same analysis over traces read in place: variants[i] is variant i's
+// trace (non-null), so a caller holding most traces elsewhere copies none.
+void AnalyzeTracesInPlace(const nxe::EngineConfig& config,
+                          const std::vector<const nxe::VariantTrace*>& variants,
+                          AnalysisReport* report);
+
 // Convenience wrapper: fresh report.
 AnalysisReport AnalyzeTracesReport(const nxe::EngineConfig& config,
                                    const std::vector<nxe::VariantTrace>& variants);

@@ -155,18 +155,19 @@ struct SessionScratch {
 
 class TraceBackend final : public Backend {
  public:
+  // `pool_key` names the engine-pool bucket every run checks out of (unused
+  // without a pool).
   TraceBackend(std::shared_ptr<const VariantPlan> plan, std::vector<size_t> members,
-               bool owns_baseline, std::shared_ptr<nxe::EnginePool> engine_pool)
+               bool owns_baseline, std::shared_ptr<nxe::EnginePool> engine_pool,
+               std::string pool_key)
       : plan_(std::move(plan)),
         members_(std::move(members)),
         owns_baseline_(owns_baseline),
-        engine_pool_(std::move(engine_pool)) {
+        engine_pool_(std::move(engine_pool)),
+        pool_key_(std::move(pool_key)) {
     labels_.reserve(members_.size());
     for (size_t global : members_) {
       labels_.push_back(plan_->labels[global]);
-    }
-    if (engine_pool_ != nullptr) {
-      pool_key_ = plan_->CacheKey();  // allocates once, not per run
     }
   }
 
@@ -178,7 +179,7 @@ class TraceBackend final : public Backend {
   bool owns_baseline() const override { return owns_baseline_; }
 
   const distribution::CheckDistributionPlan* check_plan() const override {
-    return plan_->check_plan.has_value() ? &*plan_->check_plan : nullptr;
+    return plan_->check_plan.get();
   }
   const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
     return plan_->sanitizer_groups.empty() ? nullptr : &plan_->sanitizer_groups;
@@ -218,7 +219,7 @@ class TraceBackend final : public Backend {
     // host: contention (LLC, core time-sharing) is modeled session-wide.
     nxe::EngineConfig config = plan.engine_config;
     config.contention_variants = plan.n_variants();
-    // Warm path: pooled engine state keyed by the plan, reset in place.
+    // Warm path: pooled engine state, reset in place.
     // Without a pool, a fresh engine and no workspace — the cold behavior.
     nxe::EnginePool::Checkout checkout;
     std::optional<nxe::Engine> fresh_engine;
@@ -339,18 +340,17 @@ class TraceBackend final : public Backend {
   std::vector<size_t> members_;  // members_[local_slot] = global slot; [0] is the leader
   bool owns_baseline_;
   std::shared_ptr<nxe::EnginePool> engine_pool_;  // null = cold (pool-free) backend
-  std::string pool_key_;                          // plan CacheKey, computed once
+  std::string pool_key_;
   std::vector<std::string> labels_;
   mutable std::mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<SessionScratch>> scratch_free_;
 };
 
-// Runs the static analyzer over a freshly planned (or injection-overlaid)
-// plan, stores the report on the plan, and converts analyzer errors into the
-// build-time Status the caller propagates. Warnings and notes ride along on
+// Stores the static analyzer's report on a freshly planned (or
+// injection-overlaid) plan and converts its errors into the build-time
+// Status the caller propagates. Warnings and notes ride along on
 // plan->analysis without failing anything.
-Status AttachAnalysis(VariantPlan* plan) {
-  analysis::AnalysisReport report = analysis::AnalyzePlan(*plan);
+Status AttachAnalysis(analysis::AnalysisReport report, VariantPlan* plan) {
   Status status = report.ToStatus("plan analysis");
   plan->analysis = std::make_shared<const analysis::AnalysisReport>(std::move(report));
   return status;
@@ -476,8 +476,10 @@ StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const Varian
     }
     seen[global] = true;
   }
+  std::string pool_key = engine_pool != nullptr ? plan->CacheKey() : std::string();
   return std::unique_ptr<Backend>(new TraceBackend(std::move(plan), std::move(members),
-                                                   owns_baseline, std::move(engine_pool)));
+                                                   owns_baseline, std::move(engine_pool),
+                                                   std::move(pool_key)));
 }
 
 const char* NvxOutcomeName(NvxOutcome outcome) {
@@ -849,12 +851,6 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(support::ThreadPool*
     return BuildIrBackend();
   }
 
-  StatusOr<std::shared_ptr<const VariantPlan>> resolved = ResolveSharedPlan(from_cache);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  std::shared_ptr<const VariantPlan> shared = std::move(*resolved);
-
   // One engine pool per session unless the caller shared one across
   // sessions; every shard backend of this session draws from it (distinct
   // checkouts, so concurrent shards never contend for one workspace).
@@ -862,13 +858,22 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(support::ThreadPool*
   if (engine_pool == nullptr && pooled_engines_) {
     engine_pool = std::make_shared<nxe::EnginePool>();
   }
+  // Engine arenas are sized by the leader trace, which injections barely
+  // change, so every overlay of one base checks out of the base's bucket.
+  std::string pool_key;
+  StatusOr<std::shared_ptr<const VariantPlan>> resolved =
+      ResolveSharedPlan(from_cache, engine_pool != nullptr ? &pool_key : nullptr);
+  if (!resolved.ok()) {
+    return resolved.status();
+  }
+  std::shared_ptr<const VariantPlan> shared = std::move(*resolved);
 
   if (!shards_.has_value() && !remote_) {
     std::vector<size_t> all(shared->n_variants());
     std::iota(all.begin(), all.end(), 0);
     return std::unique_ptr<Backend>(new TraceBackend(std::move(shared), std::move(all),
                                                      /*owns_baseline=*/true,
-                                                     std::move(engine_pool)));
+                                                     std::move(engine_pool), std::move(pool_key)));
   }
 
   // Shard 0 carries the baseline/leader slot; followers are dealt
@@ -889,7 +894,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(support::ThreadPool*
       shard_backends.push_back(std::make_unique<net::RemoteBackend>(remote, j));
     } else {
       shard_backends.push_back(std::unique_ptr<Backend>(new TraceBackend(
-          shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool)));
+          shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool, pool_key)));
     }
   }
   return std::unique_ptr<Backend>(
@@ -1073,9 +1078,11 @@ Status NvxBuilder::ValidateInjections(size_t n_specs) const {
 
 // Attack splices ride on top of the shared base plan: validated here, then
 // either the base is returned untouched (clean session — the common case,
-// zero copies) or one copy is taken and stamped. Cached entries therefore
-// stay injection-free and every attack scenario of one configuration shares
-// one cache slot.
+// zero copies) or one copy is taken and stamped. The copy shares the base's
+// check plan, and its report is finished from the base's cached analysis
+// (AnalyzeOverlay): only the traces the injections touch are spliced and
+// re-proved. Cached entries therefore stay injection-free and every attack
+// scenario of one configuration shares one cache slot.
 StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::OverlayInjections(
     std::shared_ptr<const VariantPlan> base) const {
   Status valid = ValidateInjections(base->specs.size());
@@ -1088,9 +1095,12 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::OverlayInjections(
   auto overlaid = std::make_shared<VariantPlan>(*base);
   overlaid->detect_injections = detect_injections_;
   overlaid->diverge_injections = diverge_injections_;
-  // Injections change the traces, so the cached base's report no longer
-  // describes this overlay — re-analyze (the base entry keeps its own).
-  Status analyzed = AttachAnalysis(overlaid.get());
+  // An entry a foreign factory planned carries no base analysis.
+  Status analyzed = AttachAnalysis(
+      base->base_analysis != nullptr
+          ? analysis::AnalyzeOverlay(base->base_analysis->Get(*base), *overlaid)
+          : analysis::AnalyzePlan(*overlaid),
+      overlaid.get());
   if (!analyzed.ok()) {
     return analyzed;
   }
@@ -1098,7 +1108,7 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::OverlayInjections(
 }
 
 StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
-    bool* from_cache) const {
+    bool* from_cache, std::string* base_key) const {
   if (plan_cache_ != nullptr) {
     StatusOr<std::string> key = PlanCacheKey();
     if (!key.ok()) {
@@ -1106,7 +1116,7 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
     }
     bool hit = false;
     StatusOr<std::shared_ptr<const VariantPlan>> base =
-        plan_cache_->GetOrPlan(*key, [this] { return PlanBase(); }, &hit);
+        plan_cache_->GetOrPlan(*key, [this] { return PlanCachedBase(); }, &hit);
     if (observer_.on_plan_cache) {
       observer_.on_plan_cache(*key, hit);
     }
@@ -1116,24 +1126,15 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
     if (!base.ok()) {
       return base.status();
     }
+    if (base_key != nullptr) {
+      *base_key = std::move(*key);
+    }
     return OverlayInjections(std::move(*base));
   }
 
-  StatusOr<VariantPlan> plan = PlanBase();
+  StatusOr<VariantPlan> plan = PlanAnalyzed(base_key);
   if (!plan.ok()) {
     return plan.status();
-  }
-  Status valid = ValidateInjections(plan->specs.size());
-  if (!valid.ok()) {
-    return valid;
-  }
-  plan->detect_injections = detect_injections_;
-  plan->diverge_injections = diverge_injections_;
-  if (!detect_injections_.empty() || !diverge_injections_.empty()) {
-    Status analyzed = AttachAnalysis(&*plan);
-    if (!analyzed.ok()) {
-      return analyzed;
-    }
   }
   return std::shared_ptr<const VariantPlan>(
       std::make_shared<const VariantPlan>(std::move(*plan)));
@@ -1141,31 +1142,47 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
 
 StatusOr<VariantPlan> NvxBuilder::PlanVariants() const {
   if (plan_cache_ == nullptr) {
-    // Fast path: plan, stamp injections, and move the value out — no
-    // shared_ptr round-trip, no extra copy.
-    StatusOr<VariantPlan> plan = PlanBase();
-    if (!plan.ok()) {
-      return plan;
-    }
-    Status valid = ValidateInjections(plan->specs.size());
-    if (!valid.ok()) {
-      return valid;
-    }
-    plan->detect_injections = detect_injections_;
-    plan->diverge_injections = diverge_injections_;
-    if (!detect_injections_.empty() || !diverge_injections_.empty()) {
-      Status analyzed = AttachAnalysis(&*plan);
-      if (!analyzed.ok()) {
-        return analyzed;
-      }
-    }
-    return plan;
+    return PlanAnalyzed(nullptr);  // moved out: no shared_ptr round-trip, no copy
   }
-  StatusOr<std::shared_ptr<const VariantPlan>> shared = ResolveSharedPlan(nullptr);
+  StatusOr<std::shared_ptr<const VariantPlan>> shared = ResolveSharedPlan(nullptr, nullptr);
   if (!shared.ok()) {
     return shared.status();
   }
   return **shared;  // cached entries are shared — callers get a copy
+}
+
+StatusOr<VariantPlan> NvxBuilder::PlanAnalyzed(std::string* base_key) const {
+  StatusOr<VariantPlan> plan = PlanBase();
+  if (!plan.ok()) {
+    return plan;
+  }
+  if (base_key != nullptr) {
+    *base_key = plan->CacheKey();  // before the injections extend it
+  }
+  Status valid = ValidateInjections(plan->specs.size());
+  if (!valid.ok()) {
+    return valid;
+  }
+  plan->detect_injections = detect_injections_;
+  plan->diverge_injections = diverge_injections_;
+  Status analyzed = AttachAnalysis(analysis::AnalyzePlan(*plan), &*plan);
+  if (!analyzed.ok()) {
+    return analyzed;
+  }
+  return plan;
+}
+
+StatusOr<VariantPlan> NvxBuilder::PlanCachedBase() const {
+  StatusOr<VariantPlan> plan = PlanBase();
+  if (!plan.ok()) {
+    return plan;
+  }
+  Status analyzed = AttachAnalysis(analysis::AnalyzePlan(*plan), &*plan);
+  if (!analyzed.ok()) {
+    return analyzed;
+  }
+  plan->base_analysis = std::make_shared<const analysis::LazyBaseAnalysis>();
+  return plan;
 }
 
 StatusOr<VariantPlan> NvxBuilder::PlanBase() const {
@@ -1186,7 +1203,7 @@ StatusOr<VariantPlan> NvxBuilder::PlanBase() const {
 
   std::vector<workload::VariantSpec>& specs = plan.specs;
   std::vector<std::string>& labels = plan.labels;
-  std::optional<distribution::CheckDistributionPlan>& check_plan = plan.check_plan;
+  std::shared_ptr<const distribution::CheckDistributionPlan>& check_plan = plan.check_plan;
   std::vector<std::vector<std::string>>& sanitizer_groups = plan.sanitizer_groups;
 
   switch (strategy_) {
@@ -1226,7 +1243,8 @@ StatusOr<VariantPlan> NvxBuilder::PlanBase() const {
         labels.push_back(std::string(san::SanitizerName(check_sanitizer_)) + "-checks/v" +
                          std::to_string(v));
       }
-      check_plan = std::move(*plan);
+      check_plan =
+          std::make_shared<const distribution::CheckDistributionPlan>(std::move(*plan));
       break;
     }
     case DistributionStrategy::kSanitizer: {
@@ -1301,13 +1319,6 @@ StatusOr<VariantPlan> NvxBuilder::PlanBase() const {
     }
   }
 
-  // Analyze at plan time: the report is cached with the plan (PlanCache
-  // stores injection-free bases), and analyzer errors fail the build here —
-  // before any backend, engine, or wire encoder ever sees the plan.
-  Status analyzed = AttachAnalysis(&plan);
-  if (!analyzed.ok()) {
-    return analyzed;
-  }
   return plan;
 }
 

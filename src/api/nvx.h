@@ -370,9 +370,10 @@ class NvxBuilder {
   // Session batching (trace targets): Build()/PlanVariants() consult `cache`
   // under PlanCacheKey() instead of re-planning. Only the base
   // (injection-free) plan is cached; InjectDetection/InjectDivergence are
-  // applied as a cheap copy-on-write overlay of the shared entry, so attack
-  // scenarios do not fragment the cache. Sessions built from a cached plan
-  // are bit-identical to uncached ones (planning is deterministic).
+  // applied as a cheap copy-on-write overlay of the shared entry, analyzed
+  // from the entry's cached base analysis, so attack scenarios do not
+  // fragment the cache. Sessions built from a cached plan are bit-identical
+  // to uncached ones (planning is deterministic).
   NvxBuilder& WithPlanCache(std::shared_ptr<PlanCache> cache);
   // Fan the session's variants out across k engine shards (trace targets
   // only). Shard 0 carries the baseline/leader slot; followers are dealt
@@ -400,7 +401,9 @@ class NvxBuilder {
   // allocation-free in the steady state. Reports are bit-identical either
   // way. PooledEngines(false) opts a session out; WithEnginePool() shares
   // one pool across many sessions (an executor daemon's setup), implying
-  // PooledEngines(true).
+  // PooledEngines(true). Checkouts are keyed by the base plan's key
+  // (PlanCacheKey()), so a session's attack overlays share its clean
+  // sessions' pooled state however many distinct payloads they carry.
   NvxBuilder& PooledEngines(bool pooled = true);
   NvxBuilder& WithEnginePool(std::shared_ptr<nxe::EnginePool> pool);
 
@@ -439,13 +442,23 @@ class NvxBuilder {
   // The planning inputs as a VariantPlan with no strategy output: what
   // PlanCacheKey() hashes and PlanBase() starts from.
   VariantPlan SkeletonPlan() const;
-  // Plans the base (injection-free) variant set.
+  // Plans the base (injection-free) variant set, unanalyzed.
   StatusOr<VariantPlan> PlanBase() const;
+  // The analyzed plans; analyzer errors fail the build here, before any
+  // backend, engine or wire encoder sees the plan. PlanAnalyzed: the base
+  // plus this builder's injections, analyzed once (`base_key`, when
+  // non-null, receives the base plan's CacheKey()). PlanCachedBase: the base
+  // plan a PlanCache entry holds, with an empty base analysis for its first
+  // overlay to fill.
+  StatusOr<VariantPlan> PlanAnalyzed(std::string* base_key) const;
+  StatusOr<VariantPlan> PlanCachedBase() const;
   Status ValidateInjections(size_t n_specs) const;
   // The shared plan a trace backend consumes: through the cache (base plan +
   // injection overlay) when WithPlanCache() is set, fresh otherwise.
-  // `from_cache`, when non-null, reports whether the cache served the plan.
-  StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(bool* from_cache) const;
+  // `from_cache`, when non-null, reports whether the cache served the plan;
+  // `base_key`, when non-null, receives the base plan's CacheKey().
+  StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(bool* from_cache,
+                                                                 std::string* base_key) const;
   StatusOr<std::shared_ptr<const VariantPlan>> OverlayInjections(
       std::shared_ptr<const VariantPlan> base) const;
   // Common validation for Build()/PlanVariants().

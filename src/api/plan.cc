@@ -1,7 +1,7 @@
 #include "src/api/plan.h"
 
 #include <cstdio>
-#include <optional>
+#include <memory>
 
 #include "src/support/enum_name.h"
 #include "src/syscall/syscall.h"
@@ -9,16 +9,6 @@
 namespace bunshin {
 namespace api {
 namespace {
-
-// Local slot of global variant `global`, if this member subset runs it.
-std::optional<size_t> LocalSlot(const std::vector<size_t>& members, size_t global) {
-  for (size_t local = 0; local < members.size(); ++local) {
-    if (members[local] == global) {
-      return local;
-    }
-  }
-  return std::nullopt;
-}
 
 void AppendPartitionOptionsKey(std::string* key, const partition::PartitionOptions& options) {
   *key += "|part=";
@@ -136,6 +126,13 @@ std::string VariantPlan::CacheKey() const {
   return key;
 }
 
+distribution::CheckDistributionPlan& MutableCheckPlan(VariantPlan* plan) {
+  auto copy = std::make_shared<distribution::CheckDistributionPlan>(*plan->check_plan);
+  distribution::CheckDistributionPlan& edited = *copy;
+  plan->check_plan = std::move(copy);
+  return edited;
+}
+
 workload::TraceTemplate BuildPlanTemplate(const VariantPlan& plan, uint64_t seed) {
   if (plan.server.has_value()) {
     return workload::BuildServerTemplate(*plan.server, seed);
@@ -165,42 +162,46 @@ Status BuildPlanTraces(const VariantPlan& plan, const workload::TraceTemplate& t
   traces.resize(members.size());
   for (size_t local = 0; local < members.size(); ++local) {
     workload::DeriveTrace(tmpl, plan.specs[members[local]], &traces[local]);
+    Status spliced = SpliceInjections(plan, members[local], &traces[local]);
+    if (!spliced.ok()) {
+      traces.clear();
+      return spliced;
+    }
   }
+  return Status::Ok();
+}
+
+Status SpliceInjections(const VariantPlan& plan, size_t global, nxe::VariantTrace* trace) {
   for (const auto& injection : plan.detect_injections) {
-    const std::optional<size_t> local = LocalSlot(members, injection.variant);
-    if (!local.has_value()) {
-      continue;  // that variant runs in another shard
+    if (injection.variant != global) {
+      continue;
     }
     // Splice the firing check mid-run into the variant's first thread (the
     // attack reaches the vulnerable function partway through execution).
-    nxe::VariantTrace& trace = traces[*local];
-    auto& actions = trace.threads.front().actions;
+    auto& actions = trace->threads.front().actions;
     actions.insert(actions.begin() + static_cast<ptrdiff_t>(actions.size() / 2),
-                   trace.AddDetect(injection.detector));
+                   trace->AddDetect(injection.detector));
   }
   for (const auto& injection : plan.diverge_injections) {
-    const std::optional<size_t> local = LocalSlot(members, injection.variant);
-    if (!local.has_value()) {
+    if (injection.variant != global) {
       continue;
     }
     // The compromised variant tries to push a different payload through a
     // mid-run observable syscall; the monitor must flag the mismatch.
-    nxe::VariantTrace& trace = traces[*local];
-    const auto& actions = trace.threads.front().actions;
+    const auto& actions = trace->threads.front().actions;
     std::vector<uint32_t> sites;
     for (const nxe::ThreadAction& action : actions) {
       if (action.kind == nxe::ActionKind::kSyscall &&
-          sc::IsSyncRelevant(trace.SyscallOf(action).no)) {
+          sc::IsSyncRelevant(trace->SyscallOf(action).no)) {
         sites.push_back(action.index);
       }
     }
     if (sites.empty()) {
-      traces.clear();
       return FailedPrecondition("InjectDivergence(): variant " +
                                 std::to_string(injection.variant) +
                                 " has no sync-relevant syscall to diverge at");
     }
-    sc::SyscallRecord& rec = trace.syscalls[sites[sites.size() / 2]];
+    sc::SyscallRecord& rec = trace->syscalls[sites[sites.size() / 2]];
     rec.payload_digest = sc::DigestString(injection.payload);
     rec.args[1] = static_cast<int64_t>(injection.payload.size());
   }

@@ -31,6 +31,10 @@
 #include "src/workload/workload.h"
 
 namespace bunshin {
+namespace analysis {
+class LazyBaseAnalysis;  // src/analysis/plan_analyzer.h
+}  // namespace analysis
+
 namespace api {
 
 enum class DistributionStrategy {
@@ -87,7 +91,10 @@ struct VariantPlan {
   // Distribution strategy output.
   std::vector<workload::VariantSpec> specs;  // [0] is the leader/baseline
   std::vector<std::string> labels;           // one per spec
-  std::optional<distribution::CheckDistributionPlan> check_plan;
+  // Shared and immutable: a plan copy (an attack overlay included) shares
+  // its source's instance, so copying a plan is O(specs), not O(functions).
+  // Edit one plan's subsets through MutableCheckPlan().
+  std::shared_ptr<const distribution::CheckDistributionPlan> check_plan;
   std::vector<std::vector<std::string>> sanitizer_groups;
 
   // Attack-scenario splices, in session-wide (global) variant indices.
@@ -99,6 +106,13 @@ struct VariantPlan {
   // wire plans itself). Not part of CacheKey() — it is derived from the plan,
   // never an input to it. May be null for hand-assembled plans.
   std::shared_ptr<const analysis::AnalysisReport> analysis;
+  // The injection-free half of that analysis (the plan/* and coverage/*
+  // report and the unspliced traces at `seed`), computed on first use.
+  // NvxBuilder sets it on the base plans it caches, so an attack overlay of
+  // one analyzes just what its injections change (analysis::AnalyzeOverlay);
+  // copies carry it along. Null on every other plan. No wire plan carries
+  // it: the executor analyzes those in full.
+  std::shared_ptr<const analysis::LazyBaseAnalysis> base_analysis;
 
   size_t n_variants() const { return specs.size(); }
 
@@ -115,6 +129,11 @@ struct VariantPlan {
   std::string CacheKey() const;
 };
 
+// Clone-then-edit access to `plan`'s check plan: replaces the shared
+// instance with a private copy and returns it for editing, so plans that
+// shared the old instance are untouched. `plan` must carry a check plan.
+distribution::CheckDistributionPlan& MutableCheckPlan(VariantPlan* plan);
+
 // The template every trace of the plan's target derives from for `seed`
 // (workload::BuildTemplate or BuildServerTemplate). Build it once per seed
 // and hand it to BuildPlanTraces for each member subset and to
@@ -124,11 +143,11 @@ workload::TraceTemplate BuildPlanTemplate(const VariantPlan& plan, uint64_t seed
 // Builds the concrete variant traces a backend (or the static analyzer)
 // executes for the plan's member subset: one trace per member (specs[global]
 // derived from the seed's template), with the plan's detection and
-// divergence injections spliced into the members that own them. This is the
-// single home of the splice rules — TraceBackend::Run and
-// analysis::AnalyzePlan call it, so what the analyzer proves about the
-// traces is exactly what the engine runs. Fails (FailedPrecondition) when a
-// divergence injection targets a member with no sync-relevant syscall.
+// divergence injections spliced into the members that own them
+// (SpliceInjections). TraceBackend::Run and analysis::AnalyzePlan call it, so
+// what the analyzer proves about the traces is exactly what the engine runs.
+// Fails (FailedPrecondition) when a divergence injection targets a member
+// with no sync-relevant syscall.
 StatusOr<std::vector<nxe::VariantTrace>> BuildPlanTraces(const VariantPlan& plan,
                                                          const std::vector<size_t>& members,
                                                          uint64_t seed);
@@ -142,6 +161,14 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
 // Template form: the same traces, derived from BuildPlanTemplate(plan, seed).
 Status BuildPlanTraces(const VariantPlan& plan, const workload::TraceTemplate& tmpl,
                        const std::vector<size_t>& members, std::vector<nxe::VariantTrace>* out);
+
+// Splices the plan's detection and divergence injections aimed at global slot
+// `global` into `trace`, the trace derived from specs[global]: the single
+// home of the splice rules, shared by BuildPlanTraces and the overlay
+// analyzer (which splices only the variants an overlay targets). Fails
+// (FailedPrecondition) when a divergence injection finds no sync-relevant
+// syscall; `trace` is then partly spliced and must be discarded.
+Status SpliceInjections(const VariantPlan& plan, size_t global, nxe::VariantTrace* trace);
 
 // The session's variant slots dealt into k shard groups — the single home of
 // the grouping rule, used for both Shards(k) and Remote() (whose groups run

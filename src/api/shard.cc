@@ -67,7 +67,7 @@ ShardedBackend::~ShardedBackend() = default;
 const char* ShardedBackend::name() const { return shards_.front()->name(); }
 
 const distribution::CheckDistributionPlan* ShardedBackend::check_plan() const {
-  return plan_->check_plan.has_value() ? &*plan_->check_plan : nullptr;
+  return plan_->check_plan.get();
 }
 
 const std::vector<std::vector<std::string>>* ShardedBackend::sanitizer_groups() const {

@@ -1,6 +1,7 @@
 #include "src/net/wire.h"
 
 #include <cstring>
+#include <memory>
 #include <unordered_set>
 
 namespace bunshin {
@@ -495,8 +496,8 @@ std::string EncodeVariantPlan(const api::VariantPlan& plan) {
     EncodeVariantSpec(w, spec);
   }
   EncodeStringList(w, plan.labels);
-  w.Bool(plan.check_plan.has_value());
-  if (plan.check_plan.has_value()) {
+  w.Bool(plan.check_plan != nullptr);
+  if (plan.check_plan != nullptr) {
     EncodeCheckPlan(w, *plan.check_plan);
   }
   w.U32(static_cast<uint32_t>(plan.sanitizer_groups.size()));
@@ -543,7 +544,8 @@ StatusOr<api::VariantPlan> DecodeVariantPlan(std::string_view bytes) {
   }
   plan.labels = DecodeStringList(r);
   if (r.Bool()) {
-    plan.check_plan = DecodeCheckPlan(r);
+    plan.check_plan = std::make_shared<const distribution::CheckDistributionPlan>(
+        DecodeCheckPlan(r));
   }
   const size_t n_groups = r.Count(4);
   plan.sanitizer_groups.reserve(n_groups);

@@ -376,7 +376,7 @@ TEST(PlanAnalyzerTest, FlagsSessionsWiderThanTheEngineAccepts) {
 
 TEST(PlanAnalyzerTest, FlagsCoverageGap) {
   VariantPlan plan = CheckPlanFixture();
-  for (auto& subset : plan.check_plan->protected_functions) {
+  for (auto& subset : api::MutableCheckPlan(&plan).protected_functions) {
     if (!subset.empty()) {
       subset.pop_back();
       break;
@@ -390,7 +390,7 @@ TEST(PlanAnalyzerTest, FlagsCoverageGap) {
 
 TEST(PlanAnalyzerTest, FlagsCoverageOverlapAndUnknownFunction) {
   VariantPlan plan = CheckPlanFixture();
-  auto& subsets = plan.check_plan->protected_functions;
+  auto& subsets = api::MutableCheckPlan(&plan).protected_functions;
   ASSERT_GE(subsets.size(), 2u);
   ASSERT_FALSE(subsets[0].empty());
   subsets[1].push_back(subsets[0].front());
@@ -509,7 +509,7 @@ std::vector<std::string> EdgeNames(const workload::BenchmarkSpec& bench) {
 // One seeded defect in a check plan: a dropped, duplicated or moved name, an
 // emptied subset, an edge-case name, or a different n_functions.
 void MutateCheckPlan(Rng& rng, VariantPlan* plan) {
-  auto& subsets = plan->check_plan->protected_functions;
+  auto& subsets = api::MutableCheckPlan(plan).protected_functions;
   std::vector<std::string>& from = subsets[rng.NextBounded(subsets.size())];
   std::vector<std::string>& to = subsets[rng.NextBounded(subsets.size())];
   const size_t at = from.empty() ? 0 : rng.NextBounded(from.size());
@@ -586,7 +586,7 @@ TEST(PlanAnalyzerTest, IndexCoverageMatchesOracleOnEveryEdgeName) {
     const VariantPlan base = CheckPlanFor(benchmark, 4);
     for (const std::string& name : EdgeNames(*base.benchmark)) {
       VariantPlan plan = base;
-      plan.check_plan->protected_functions[1].push_back(name);
+      api::MutableCheckPlan(&plan).protected_functions[1].push_back(name);
       EXPECT_EQ(AnalyzePlan(plan).Render(), OracleCoverageReport(plan).Render())
           << benchmark << " name '" << name << "'";
     }
@@ -602,17 +602,18 @@ TEST(PlanAnalyzerTest, IndexCoverageMatchesOracleAtZeroFunctions) {
   EXPECT_TRUE(report.HasRule("coverage/unknown-function"));
   EXPECT_FALSE(report.HasRule("coverage/gap"));  // mcf::fn0 is still protected
 
-  plan.check_plan->protected_functions.assign(plan.specs.size(), {});
-  plan.check_plan->protected_functions[2] = {"mcf::fn0"};
+  auto& subsets = api::MutableCheckPlan(&plan).protected_functions;
+  subsets.assign(plan.specs.size(), {});
+  subsets[2] = {"mcf::fn0"};
   EXPECT_EQ(AnalyzePlan(plan).Render(), "");
-  plan.check_plan->protected_functions[2].clear();
+  subsets[2].clear();
   EXPECT_EQ(AnalyzePlan(plan).Render(), OracleCoverageReport(plan).Render());
   EXPECT_TRUE(AnalyzePlan(plan).HasRule("coverage/gap"));
 }
 
 TEST(PlanAnalyzerTest, GapListKeepsNameOrder) {
   VariantPlan plan = CheckPlanFor("mcf", 4);
-  for (auto& subset : plan.check_plan->protected_functions) {
+  for (auto& subset : api::MutableCheckPlan(&plan).protected_functions) {
     std::erase_if(subset, [](const std::string& name) {
       return name == "mcf::fn2" || name == "mcf::fn10" || name == "mcf::fn31";
     });
@@ -629,7 +630,7 @@ TEST(PlanAnalyzerTest, ImplausibleFunctionCountIsCountedNotEnumerated) {
   // could cover, so the gap is stated as counts. Overlap and unknown-name
   // diagnostics are unchanged.
   VariantPlan plan = CheckPlanFor("perlbench", 4);
-  auto& subsets = plan.check_plan->protected_functions;
+  auto& subsets = api::MutableCheckPlan(&plan).protected_functions;
   subsets[0].resize(6);
   for (size_t v = 1; v < subsets.size(); ++v) {
     subsets[v].clear();
@@ -755,6 +756,123 @@ TEST(PlanAnalyzerTest, FullCoverageVerdictImpliesInjectedDetectionCaught) {
 }
 
 // ---------------------------------------------------------------------------
+// Attack overlays: a cached base's analysis, finished per overlay, must give
+// exactly the report AnalyzePlan gives the overlaid plan.
+// ---------------------------------------------------------------------------
+
+void ExpectSameReport(const AnalysisReport& overlay, const AnalysisReport& full,
+                      const std::string& context) {
+  EXPECT_EQ(overlay.Render(), full.Render()) << context;
+  EXPECT_EQ(overlay.errors(), full.errors()) << context;
+  EXPECT_EQ(overlay.warnings(), full.warnings()) << context;
+  EXPECT_EQ(overlay.ToStatus("plan analysis").ToString(),
+            full.ToStatus("plan analysis").ToString())
+      << context;
+}
+
+enum class Attack { kDetect, kDiverge, kBoth };
+
+void Inject(Attack attack, size_t slot, NvxBuilder* builder) {
+  if (attack != Attack::kDiverge) {
+    builder->InjectDetection(slot, "__asan_report_store");
+  }
+  if (attack != Attack::kDetect) {
+    builder->InjectDivergence(slot, "exfiltrated-" + std::to_string(slot));
+  }
+}
+
+// Every attack on every slot of `configured` (an injection-free builder),
+// through a PlanCache; the uncached path once per attack.
+void ExpectOverlaysMatchFullAnalysis(const NvxBuilder& configured, const std::string& name) {
+  NvxBuilder cached = configured;
+  cached.WithPlanCache(std::make_shared<api::PlanCache>(4));
+  const StatusOr<VariantPlan> base = cached.PlanVariants();
+  ASSERT_TRUE(base.ok()) << name << ": " << base.status().ToString();
+  ASSERT_NE(base->base_analysis, nullptr) << name;
+  // Overlays share the check plan by pointer; only kCheck plans carry one.
+  EXPECT_EQ(base->check_plan != nullptr, base->strategy == DistributionStrategy::kCheck)
+      << name;
+  const size_t n = base->n_variants();
+  for (const Attack attack : {Attack::kDetect, Attack::kDiverge, Attack::kBoth}) {
+    for (size_t slot = 0; slot < n; ++slot) {
+      for (const bool use_cache : {true, false}) {
+        if (!use_cache && slot + 1 != n) {
+          continue;
+        }
+        const std::string context = name + " attack " +
+                                    std::to_string(static_cast<int>(attack)) + " slot " +
+                                    std::to_string(slot) + (use_cache ? " cached" : " uncached");
+        NvxBuilder builder = use_cache ? cached : configured;
+        Inject(attack, slot, &builder);
+        const StatusOr<VariantPlan> overlay = builder.PlanVariants();
+        ASSERT_TRUE(overlay.ok()) << context << ": " << overlay.status().ToString();
+        ASSERT_NE(overlay->analysis, nullptr) << context;
+        ExpectSameReport(*overlay->analysis, AnalyzePlan(*overlay), context);
+        if (use_cache) {
+          EXPECT_EQ(overlay->check_plan.get(), base->check_plan.get()) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(OverlayAnalysisTest, MatchesFullAnalysisOnEveryCatalogBenchmark) {
+  std::vector<workload::BenchmarkSpec> catalog = workload::Spec2006();
+  catalog.insert(catalog.end(), workload::Splash2x().begin(), workload::Splash2x().end());
+  catalog.insert(catalog.end(), workload::Parsec().begin(), workload::Parsec().end());
+  for (const workload::BenchmarkSpec& bench : catalog) {
+    NvxBuilder check;
+    check.Benchmark(bench).Variants(3).DistributeChecks(san::SanitizerId::kASan).Seed(5);
+    ExpectOverlaysMatchFullAnalysis(check, bench.name + " check");
+    NvxBuilder sanitizers;
+    sanitizers.Benchmark(bench).Variants(3).Seed(5).DistributeSanitizers(
+        {san::SanitizerId::kASan, san::SanitizerId::kMSan, san::SanitizerId::kUBSan});
+    ExpectOverlaysMatchFullAnalysis(sanitizers, bench.name + " sanitizer");
+    NvxBuilder ubsan;
+    ubsan.Benchmark(bench).Variants(3).DistributeUbsanSubSanitizers().Seed(5);
+    ExpectOverlaysMatchFullAnalysis(ubsan, bench.name + " ubsan-sub");
+    NvxBuilder clones;
+    clones.Benchmark(bench).Variants(3).Seed(5);
+    ExpectOverlaysMatchFullAnalysis(clones, bench.name + " none");
+  }
+  NvxBuilder server;
+  server.Server(workload::ServerSpec{}).Variants(3).Seed(5);
+  ExpectOverlaysMatchFullAnalysis(server, "server");
+}
+
+TEST(OverlayAnalysisTest, InjectionSiteErrorMatchesFullAnalysis) {
+  // Fewer requests than threads leaves every thread without a syscall, so a
+  // divergence has nowhere to splice.
+  workload::ServerSpec idle;
+  idle.requests = 0;
+  NvxBuilder configured;
+  configured.Server(idle).Variants(3).Seed(5);
+  NvxBuilder cached = configured;
+  cached.WithPlanCache(std::make_shared<api::PlanCache>(4));
+  const StatusOr<VariantPlan> base = cached.PlanVariants();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  VariantPlan overlaid = *base;
+  overlaid.diverge_injections = {{1, "exfiltrated-secret"}};
+  const AnalysisReport full = AnalyzePlan(overlaid);
+  ASSERT_TRUE(full.HasRule("plan/injection-site")) << full.Render();
+  const analysis::BaseAnalysis& base_analysis = base->base_analysis->Get(*base);
+  ExpectSameReport(analysis::AnalyzeOverlay(base_analysis, overlaid), full, "injection-site");
+  for (NvxBuilder builder : {cached, configured}) {
+    builder.InjectDivergence(1, "exfiltrated-secret");
+    const StatusOr<VariantPlan> overlay = builder.PlanVariants();
+    ASSERT_FALSE(overlay.ok());
+    EXPECT_EQ(overlay.status().ToString(), full.ToStatus("plan analysis").ToString());
+  }
+
+  // An out-of-range injection, which the builder rejects before analysis, is
+  // analyzed in full.
+  overlaid.diverge_injections = {{7, "exfiltrated-secret"}};
+  ExpectSameReport(analysis::AnalyzeOverlay(base_analysis, overlaid), AnalyzePlan(overlaid),
+                   "injection-range");
+}
+
+// ---------------------------------------------------------------------------
 // IR cross-check: sliced variants vs an independent re-instrumentation.
 // ---------------------------------------------------------------------------
 
@@ -869,7 +987,7 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
   std::vector<std::pair<std::string, VariantPlan>> mutants;
   {
     VariantPlan m = base;
-    for (auto& subset : m.check_plan->protected_functions) {
+    for (auto& subset : api::MutableCheckPlan(&m).protected_functions) {
       if (!subset.empty()) {
         subset.pop_back();
         break;
@@ -879,8 +997,8 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
   }
   {
     VariantPlan m = base;
-    m.check_plan->protected_functions[1].push_back(
-        m.check_plan->protected_functions[0].front());
+    auto& subsets = api::MutableCheckPlan(&m).protected_functions;
+    subsets[1].push_back(subsets[0].front());
     mutants.emplace_back("coverage-overlap", std::move(m));
   }
   {

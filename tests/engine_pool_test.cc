@@ -13,6 +13,7 @@
 
 #include "src/api/async.h"
 #include "src/api/nvx.h"
+#include "src/api/plan_cache.h"
 #include "src/nxe/engine.h"
 #include "src/nxe/engine_pool.h"
 #include "src/support/thread_pool.h"
@@ -183,6 +184,34 @@ TEST(EnginePoolConcurrencyTest, SixteenSessionsShareOnePool) {
   EXPECT_EQ(stats.poison_violations, 0u);
   EXPECT_EQ(stats.keys, 1u);  // every session runs the same plan
   EXPECT_LE(stats.pooled_engines, 8u);  // default per-key bound held
+}
+
+// Engine arenas depend on the leader trace only, so attack overlays check
+// out of their base plan's bucket: distinct payloads neither miss nor push
+// other plans' keys out of the pool's LRU.
+TEST(EnginePoolTest, OverlaysShareTheBasePlansKey) {
+  constexpr size_t kSessions = 100;
+  auto plan_cache = std::make_shared<api::PlanCache>(8);
+  auto engine_pool = std::make_shared<nxe::EnginePool>();
+  for (size_t i = 0; i < kSessions; ++i) {
+    std::string payload = "p";  // a distinct payload per session
+    payload += std::to_string(i);
+    NvxBuilder builder;
+    builder.Benchmark(workload::Spec2006()[0])
+        .Variants(4)
+        .Seed(41)
+        .WithPlanCache(plan_cache)
+        .WithEnginePool(engine_pool)
+        .InjectDivergence(1 + i % 3, payload);
+    auto session = builder.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto report = session->Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->outcome, NvxOutcome::kDiverged);
+  }
+  const nxe::EnginePool::Stats stats = engine_pool->stats();
+  EXPECT_EQ(stats.keys, 1u);
+  EXPECT_GE(stats.hits, kSessions - 1);
 }
 
 // ---------------------------------------------------------------------------

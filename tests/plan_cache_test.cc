@@ -455,5 +455,82 @@ TEST(PlanCacheConcurrencyTest, ConcurrentBuildsOfOneKeyShareOnePlan) {
   }
 }
 
+// Overlays of one cached base, built and run on 8 threads at once, read the
+// base's shared analysis and check plan concurrently; each must report
+// exactly what the same overlay reports when built alone.
+TEST(PlanCacheConcurrencyTest, ConcurrentOverlaysMatchSerialOverlays) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 3;
+  // Thread t's overlay in round r: detection, divergence or both, on a slot.
+  const auto overlay = [](std::shared_ptr<PlanCache> cache, size_t t, size_t r) {
+    NvxBuilder builder = CheckDistBuilder(std::move(cache));
+    const size_t slot = (t + r) % 4;
+    if ((t + r) % 3 != 1) {
+      builder.InjectDetection(slot, "__asan_report_store");
+    }
+    if ((t + r) % 3 != 0) {
+      builder.InjectDivergence(slot, "payload-" + std::to_string(t));
+    }
+    return builder;
+  };
+  struct Outcome {
+    std::string analysis;
+    StatusOr<RunReport> report{Status(StatusCode::kInternal, "pending")};
+  };
+  const auto build_and_run = [](const NvxBuilder& builder) {
+    Outcome out;
+    auto plan = builder.PlanVariants();
+    if (!plan.ok()) {
+      out.report = plan.status();
+      return out;
+    }
+    out.analysis = plan->analysis->Render();
+    auto session = builder.Build();
+    out.report = session.ok() ? session->Run() : StatusOr<RunReport>(session.status());
+    return out;
+  };
+
+  std::vector<std::vector<Outcome>> serial(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t r = 0; r < kRounds; ++r) {
+      // A fresh cache per overlay: the serial reference shares nothing.
+      serial[t].push_back(build_and_run(overlay(std::make_shared<PlanCache>(8), t, r)));
+    }
+  }
+
+  auto cache = std::make_shared<PlanCache>(8);
+  std::vector<std::vector<Outcome>> concurrent(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t r = 0; r < kRounds; ++r) {
+          concurrent[t].push_back(build_and_run(overlay(cache, t, r)));
+        }
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+  }
+  EXPECT_EQ(cache->stats().entries, 1u);
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t r = 0; r < kRounds; ++r) {
+      const Outcome& want = serial[t][r];
+      const Outcome& got = concurrent[t][r];
+      ASSERT_TRUE(want.report.ok()) << want.report.status().ToString();
+      ASSERT_TRUE(got.report.ok()) << got.report.status().ToString();
+      EXPECT_EQ(got.analysis, want.analysis) << "thread " << t << " round " << r;
+      EXPECT_EQ(got.report->outcome, want.report->outcome);
+      EXPECT_EQ(got.report->detection.has_value(), want.report->detection.has_value());
+      EXPECT_EQ(got.report->divergence.has_value(), want.report->divergence.has_value());
+      EXPECT_EQ(got.report->total_time, want.report->total_time);
+      EXPECT_EQ(got.report->variant_finish_time, want.report->variant_finish_time);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bunshin

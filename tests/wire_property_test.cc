@@ -160,7 +160,8 @@ api::VariantPlan RandomPlan(std::mt19937_64& rng) {
     check.partition.total = RandomDouble(rng);
     check.partition.max_sum = RandomDouble(rng);
     check.partition.balance_ratio = RandomDouble(rng);
-    plan.check_plan = std::move(check);
+    plan.check_plan =
+        std::make_shared<const distribution::CheckDistributionPlan>(std::move(check));
   }
   const size_t n_groups = rng() % 3;
   for (size_t i = 0; i < n_groups; ++i) {

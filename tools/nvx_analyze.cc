@@ -220,7 +220,7 @@ bunshin::StatusOr<std::vector<Fixture>> BuildFixtures() {
 
   {  // coverage/gap: one protected function silently dropped from its subset
     bunshin::api::VariantPlan mutant = ok_check;
-    for (auto& subset : mutant.check_plan->protected_functions) {
+    for (auto& subset : bunshin::api::MutableCheckPlan(&mutant).protected_functions) {
       if (!subset.empty()) {
         subset.pop_back();
         break;
@@ -230,7 +230,7 @@ bunshin::StatusOr<std::vector<Fixture>> BuildFixtures() {
   }
   {  // coverage/overlap: one function protected by two variants
     bunshin::api::VariantPlan mutant = ok_check;
-    auto& subsets = mutant.check_plan->protected_functions;
+    auto& subsets = bunshin::api::MutableCheckPlan(&mutant).protected_functions;
     if (subsets.size() >= 2 && !subsets[0].empty()) {
       subsets[1].push_back(subsets[0].front());
     }
@@ -238,7 +238,8 @@ bunshin::StatusOr<std::vector<Fixture>> BuildFixtures() {
   }
   {  // coverage/unknown-function: a subset protects a name nobody profiled
     bunshin::api::VariantPlan mutant = ok_check;
-    mutant.check_plan->protected_functions[0].push_back("__no_such_function");
+    bunshin::api::MutableCheckPlan(&mutant).protected_functions[0].push_back(
+        "__no_such_function");
     fixtures.push_back({"bad_coverage_unknown.plan", std::move(mutant)});
   }
   {  // coverage/gap: a benchmark claiming 2^40 functions that its subsets
